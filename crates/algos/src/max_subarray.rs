@@ -90,8 +90,9 @@ impl BfAlgorithm<Segment> for MaxSubarray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpu_core::exec::{run_sim, Strategy};
+    use hpu_core::exec::run_sim;
     use hpu_machine::{MachineConfig, SimHpu};
+    use hpu_model::ScheduleSpec;
 
     fn input(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| ((i * 37 + 11) % 23) - 11).collect()
@@ -131,10 +132,10 @@ mod tests {
         let n = 1 << 10;
         let expect = max_subarray_reference(&input(n));
         for strategy in [
-            Strategy::Sequential,
-            Strategy::CpuOnly,
-            Strategy::GpuOnly,
-            Strategy::Advanced {
+            ScheduleSpec::Sequential,
+            ScheduleSpec::CpuParallel,
+            ScheduleSpec::GpuOnly,
+            ScheduleSpec::Advanced {
                 alpha: 0.25,
                 transfer_level: 4,
             },
@@ -150,7 +151,13 @@ mod tests {
     fn all_negative_input_gives_zero() {
         let mut segs = to_segments(&vec![-5i64; 128]);
         let mut hpu = SimHpu::new(MachineConfig::tiny());
-        run_sim(&MaxSubarray, &mut segs, &mut hpu, &Strategy::CpuOnly).unwrap();
+        run_sim(
+            &MaxSubarray,
+            &mut segs,
+            &mut hpu,
+            &ScheduleSpec::CpuParallel,
+        )
+        .unwrap();
         assert_eq!(segs[0].best, 0);
     }
 }

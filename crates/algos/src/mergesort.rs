@@ -455,8 +455,9 @@ pub fn gpu_parallel_mergesort<T: SortKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpu_core::exec::{run_sim, Strategy};
+    use hpu_core::exec::run_sim;
     use hpu_machine::MachineConfig;
+    use hpu_model::ScheduleSpec;
 
     fn input(n: usize) -> Vec<u32> {
         (0..n as u32)
@@ -509,7 +510,7 @@ mod tests {
         for algo in [MergeSort::new(), MergeSort::generic()] {
             let mut data = input(n);
             let mut hpu = SimHpu::new(MachineConfig::tiny());
-            run_sim(&algo, &mut data, &mut hpu, &Strategy::GpuOnly).unwrap();
+            run_sim(&algo, &mut data, &mut hpu, &ScheduleSpec::GpuOnly).unwrap();
             assert_eq!(data, sorted(&input(n)), "coalesced={}", algo.is_coalesced());
         }
     }
@@ -519,14 +520,20 @@ mod tests {
         let n = 1 << 10;
         let mut hpu = SimHpu::new(MachineConfig::tiny());
         let mut data = input(n);
-        let co = run_sim(&MergeSort::new(), &mut data, &mut hpu, &Strategy::GpuOnly).unwrap();
+        let co = run_sim(
+            &MergeSort::new(),
+            &mut data,
+            &mut hpu,
+            &ScheduleSpec::GpuOnly,
+        )
+        .unwrap();
         let mut hpu = SimHpu::new(MachineConfig::tiny());
         let mut data = input(n);
         let un = run_sim(
             &MergeSort::generic(),
             &mut data,
             &mut hpu,
-            &Strategy::GpuOnly,
+            &ScheduleSpec::GpuOnly,
         )
         .unwrap();
         assert!(
@@ -551,7 +558,7 @@ mod tests {
             &MergeSort::new(),
             &mut data,
             &mut hpu,
-            &Strategy::Advanced {
+            &ScheduleSpec::Advanced {
                 alpha: 0.16,
                 transfer_level: 6,
             },
@@ -601,12 +608,12 @@ mod tests {
         let algo = MergeSort::new().with_leaf_cutoff(16);
         let mut data = input(n);
         let mut hpu = SimHpu::new(MachineConfig::tiny());
-        run_sim(&algo, &mut data, &mut hpu, &Strategy::CpuOnly).unwrap();
+        run_sim(&algo, &mut data, &mut hpu, &ScheduleSpec::CpuParallel).unwrap();
         assert!(data == sorted(&input(n)), "cutoff CPU-only run must sort");
         // GPU path too (exercises the row→column boundary kernel).
         let mut data = input(n);
         let mut hpu = SimHpu::new(MachineConfig::tiny());
-        run_sim(&algo, &mut data, &mut hpu, &Strategy::GpuOnly).unwrap();
+        run_sim(&algo, &mut data, &mut hpu, &ScheduleSpec::GpuOnly).unwrap();
         assert!(data == sorted(&input(n)), "cutoff GPU-only run must sort");
         // Hybrid too.
         let mut data = input(n);
@@ -615,7 +622,7 @@ mod tests {
             &algo,
             &mut data,
             &mut hpu,
-            &Strategy::Advanced {
+            &ScheduleSpec::Advanced {
                 alpha: 0.25,
                 transfer_level: 3,
             },
@@ -640,11 +647,11 @@ mod tests {
         let n = 1 << 10;
         let expect = sorted(&input(n));
         for strategy in [
-            Strategy::Sequential,
-            Strategy::CpuOnly,
-            Strategy::GpuOnly,
-            Strategy::Basic { crossover: None },
-            Strategy::Advanced {
+            ScheduleSpec::Sequential,
+            ScheduleSpec::CpuParallel,
+            ScheduleSpec::GpuOnly,
+            ScheduleSpec::Basic { crossover: None },
+            ScheduleSpec::Advanced {
                 alpha: 0.2,
                 transfer_level: 5,
             },

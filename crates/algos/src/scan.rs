@@ -55,8 +55,9 @@ impl BfAlgorithm<u64> for DcScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpu_core::exec::{run_sim, Strategy};
+    use hpu_core::exec::run_sim;
     use hpu_machine::{MachineConfig, SimHpu};
+    use hpu_model::ScheduleSpec;
 
     fn input(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| (i * 13 + 5) % 97).collect()
@@ -73,11 +74,11 @@ mod tests {
         let n = 1 << 9;
         let expect = scan_reference(&input(n));
         for strategy in [
-            Strategy::Sequential,
-            Strategy::CpuOnly,
-            Strategy::GpuOnly,
-            Strategy::Basic { crossover: Some(3) },
-            Strategy::Advanced {
+            ScheduleSpec::Sequential,
+            ScheduleSpec::CpuParallel,
+            ScheduleSpec::GpuOnly,
+            ScheduleSpec::Basic { crossover: Some(3) },
+            ScheduleSpec::Advanced {
                 alpha: 0.5,
                 transfer_level: 3,
             },
@@ -93,7 +94,7 @@ mod tests {
     fn scan_of_ones_is_iota() {
         let mut data = vec![1u64; 256];
         let mut hpu = SimHpu::new(MachineConfig::tiny());
-        run_sim(&DcScan, &mut data, &mut hpu, &Strategy::CpuOnly).unwrap();
+        run_sim(&DcScan, &mut data, &mut hpu, &ScheduleSpec::CpuParallel).unwrap();
         assert_eq!(data, (1..=256u64).collect::<Vec<_>>());
     }
 }

@@ -86,8 +86,9 @@ impl BfAlgorithm<u64> for DcSum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpu_core::exec::{run_sim, Strategy};
+    use hpu_core::exec::run_sim;
     use hpu_machine::{MachineConfig, SimHpu};
+    use hpu_model::ScheduleSpec;
 
     fn input(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| i * 7 + 1).collect()
@@ -105,11 +106,11 @@ mod tests {
         let n = 1 << 10;
         let expect: u64 = input(n).iter().sum();
         for strategy in [
-            Strategy::Sequential,
-            Strategy::CpuOnly,
-            Strategy::GpuOnly,
-            Strategy::Basic { crossover: Some(2) },
-            Strategy::Advanced {
+            ScheduleSpec::Sequential,
+            ScheduleSpec::CpuParallel,
+            ScheduleSpec::GpuOnly,
+            ScheduleSpec::Basic { crossover: Some(2) },
+            ScheduleSpec::Advanced {
                 alpha: 0.25,
                 transfer_level: 4,
             },
@@ -128,10 +129,10 @@ mod tests {
         let n = 1 << 14;
         let mut hpu_g = SimHpu::new(MachineConfig::hpu1_sim());
         let mut d1 = input(n);
-        let g = run_sim(&DcSum, &mut d1, &mut hpu_g, &Strategy::GpuOnly).unwrap();
+        let g = run_sim(&DcSum, &mut d1, &mut hpu_g, &ScheduleSpec::GpuOnly).unwrap();
         let mut hpu_s = SimHpu::new(MachineConfig::hpu1_sim());
         let mut d2 = input(n);
-        let s = run_sim(&DcSum, &mut d2, &mut hpu_s, &Strategy::Sequential).unwrap();
+        let s = run_sim(&DcSum, &mut d2, &mut hpu_s, &ScheduleSpec::Sequential).unwrap();
         assert!(
             g.virtual_time < s.virtual_time,
             "GPU-only {} should beat sequential {} on a sum",

@@ -8,8 +8,9 @@ use hpu_algos::mergesort::{sort_recursive, MergeSort};
 use hpu_bench::experiments as exp;
 use hpu_bench::timing::bench;
 use hpu_bench::uniform_input;
-use hpu_core::exec::{run_sim, Strategy};
+use hpu_core::exec::run_sim;
 use hpu_machine::{MachineConfig, SimHpu};
+use hpu_model::ScheduleSpec;
 
 const N: usize = 1 << 12;
 
@@ -22,7 +23,7 @@ fn main() {
         bench(&format!("ablation_leaf_cutoff/{cutoff}"), iters, || {
             let mut data = uniform_input(N, 42);
             let mut hpu = SimHpu::new(MachineConfig::hpu1_sim());
-            run_sim(&algo, &mut data, &mut hpu, &Strategy::CpuOnly).unwrap();
+            run_sim(&algo, &mut data, &mut hpu, &ScheduleSpec::CpuParallel).unwrap();
             data
         });
     }
@@ -41,7 +42,7 @@ fn main() {
                 &MergeSort::new(),
                 &mut data,
                 &mut hpu,
-                &Strategy::Sequential,
+                &ScheduleSpec::Sequential,
             )
             .unwrap();
             data

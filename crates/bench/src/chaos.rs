@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use hpu_core::exec::{RecoveryPolicy, RecoveryStats, RunReport};
+use hpu_core::exec::{RecoveryPolicy, RecoveryStats, RunOpts, RunReport};
 use hpu_core::{CoreError, LevelPool};
 use hpu_machine::{FaultPlan, MachineConfig, SimHpu};
 use hpu_model::{Plan, Recurrence};
@@ -93,6 +93,15 @@ impl Workload for PanicInjector {
         policy: &RecoveryPolicy,
     ) -> (Result<RunReport, CoreError>, RecoveryStats) {
         self.inner.run_plan_recover(hpu, plan, policy)
+    }
+
+    fn run_plan_with(
+        &mut self,
+        hpu: &mut SimHpu,
+        plan: &Plan,
+        opts: &RunOpts,
+    ) -> (Result<RunReport, CoreError>, RecoveryStats) {
+        self.inner.run_plan_with(hpu, plan, opts)
     }
 
     fn run_native(&mut self, pool: &LevelPool) -> Result<Duration, CoreError> {

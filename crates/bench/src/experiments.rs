@@ -6,14 +6,14 @@
 use std::fmt::Write as _;
 
 use hpu_algos::mergesort::{gpu_parallel_mergesort, MergeSort};
-use hpu_core::exec::{run_sim, Strategy};
+use hpu_core::exec::run_sim;
 use hpu_core::tune::{auto_advanced, grid_search_sim};
 use hpu_core::BfAlgorithm;
 use hpu_estimate::{estimate_g, estimate_gamma, platforms};
 use hpu_machine::{MachineConfig, SimHpu, SimMachineParams};
 use hpu_model::advanced::AdvancedSolver;
 use hpu_model::closed_form::ClosedForm;
-use hpu_model::{MachineParams, Recurrence};
+use hpu_model::{MachineParams, Recurrence, ScheduleSpec};
 
 use crate::workload::uniform_input;
 
@@ -196,7 +196,12 @@ pub fn fig6(sizes: &[usize]) -> Csv {
 }
 
 /// Runs one simulated mergesort and returns its report.
-fn run_once(cfg: &MachineConfig, n: usize, strategy: &Strategy, seed: u64) -> hpu_core::RunReport {
+fn run_once(
+    cfg: &MachineConfig,
+    n: usize,
+    strategy: &ScheduleSpec,
+    seed: u64,
+) -> hpu_core::RunReport {
     let mut data = uniform_input(n, seed);
     let mut hpu = SimHpu::new(cfg.clone());
     run_sim(&MergeSort::new(), &mut data, &mut hpu, strategy).expect("experiment run succeeds")
@@ -206,14 +211,14 @@ fn run_once(cfg: &MachineConfig, n: usize, strategy: &Strategy, seed: u64) -> hp
 /// function of `α`, one series per transfer level.
 pub fn fig7(n: usize, alphas: &[f64], levels: &[u32]) -> Csv {
     let cfg = MachineConfig::hpu1_sim();
-    let base = run_once(&cfg, n, &Strategy::Sequential, 42).virtual_time;
+    let base = run_once(&cfg, n, &ScheduleSpec::Sequential, 42).virtual_time;
     let mut rows = Vec::new();
     for &y in levels {
         for &alpha in alphas {
             let rep = run_once(
                 &cfg,
                 n,
-                &Strategy::Advanced {
+                &ScheduleSpec::Advanced {
                     alpha,
                     transfer_level: y,
                 },
@@ -239,7 +244,7 @@ pub fn fig8(sizes: &[usize]) -> Csv {
     for spec in platforms::all() {
         let cfg = spec.config();
         for &n in sizes {
-            let base = run_once(&cfg, n, &Strategy::Sequential, 42).virtual_time;
+            let base = run_once(&cfg, n, &ScheduleSpec::Sequential, 42).virtual_time;
             let strategy = auto_advanced(&cfg, &rec, n as u64).expect("valid size");
             let rep = run_once(&cfg, n, &strategy, 42);
             let measured = base / rep.virtual_time;
@@ -252,7 +257,7 @@ pub fn fig8(sizes: &[usize]) -> Csv {
                 / solver.predicted_time(opt.alpha, opt.transfer_level, words);
             let ratio = rep.concurrent.map(|(c, g)| g / c).unwrap_or(f64::NAN);
             let (alpha, y) = match strategy {
-                Strategy::Advanced {
+                ScheduleSpec::Advanced {
                     alpha,
                     transfer_level,
                 } => (alpha, transfer_level),
@@ -291,7 +296,7 @@ pub fn fig9(sizes: &[usize]) -> Csv {
     let cfg = MachineConfig::hpu1_sim();
     let mut rows = Vec::new();
     for &n in sizes {
-        let base = run_once(&cfg, n, &Strategy::Sequential, 42).virtual_time;
+        let base = run_once(&cfg, n, &ScheduleSpec::Sequential, 42).virtual_time;
         let mut data = uniform_input(n, 42);
         let mut hpu = SimHpu::new(cfg.clone());
         let rep = gpu_parallel_mergesort(&mut hpu, &mut data).expect("power-of-two size");
@@ -371,7 +376,7 @@ pub fn ablation_coalescing(n: usize) -> Csv {
         ("generic", MergeSort::generic()),
     ] {
         for (sname, strat) in [
-            ("gpu_only", Strategy::GpuOnly),
+            ("gpu_only", ScheduleSpec::GpuOnly),
             ("advanced", strategy.clone()),
         ] {
             let mut data = uniform_input(n, 42);
@@ -407,12 +412,12 @@ pub fn ablation_schedule(n: usize) -> Csv {
     for spec in platforms::all() {
         let cfg = spec.config();
         let advanced = auto_advanced(&cfg, &rec, n as u64).expect("valid size");
-        let base = run_once(&cfg, n, &Strategy::Sequential, 42).virtual_time;
+        let base = run_once(&cfg, n, &ScheduleSpec::Sequential, 42).virtual_time;
         for (label, strat) in [
-            ("sequential", Strategy::Sequential),
-            ("cpu_only", Strategy::CpuOnly),
-            ("gpu_only", Strategy::GpuOnly),
-            ("basic", Strategy::Basic { crossover: None }),
+            ("sequential", ScheduleSpec::Sequential),
+            ("cpu_only", ScheduleSpec::CpuParallel),
+            ("gpu_only", ScheduleSpec::GpuOnly),
+            ("basic", ScheduleSpec::Basic { crossover: None }),
             ("advanced", advanced),
         ] {
             let rep = run_once(&cfg, n, &strat, 42);
@@ -460,7 +465,7 @@ pub fn extension_workloads(n: usize) -> Csv {
         let strategy = hpu_core::tune::auto_strategy(cfg, &rec, n as u64);
         let mut base_data = make();
         let mut hpu = SimHpu::new(cfg.clone());
-        let base = run_sim(algo, &mut base_data, &mut hpu, &Strategy::Sequential)
+        let base = run_sim(algo, &mut base_data, &mut hpu, &ScheduleSpec::Sequential)
             .expect("baseline run succeeds")
             .virtual_time;
         let mut data = make();
@@ -468,7 +473,7 @@ pub fn extension_workloads(n: usize) -> Csv {
         let rep = run_sim(algo, &mut data, &mut hpu, &strategy).expect("tuned run succeeds");
         // Comma-free strategy description (the cell lives in a CSV).
         let label = match rep.resolved {
-            Strategy::Advanced {
+            ScheduleSpec::Advanced {
                 alpha,
                 transfer_level,
             } => format!("advanced(alpha={alpha:.3}; y={transfer_level})"),
@@ -555,10 +560,10 @@ pub fn trace_bundle(n: usize) -> TraceBundle {
     let mut rows = Vec::new();
 
     for (label, strat) in [
-        ("sequential", Strategy::Sequential),
-        ("cpu_only", Strategy::CpuOnly),
-        ("gpu_only", Strategy::GpuOnly),
-        ("basic", Strategy::Basic { crossover: None }),
+        ("sequential", ScheduleSpec::Sequential),
+        ("cpu_only", ScheduleSpec::CpuParallel),
+        ("gpu_only", ScheduleSpec::GpuOnly),
+        ("basic", ScheduleSpec::Basic { crossover: None }),
         ("advanced", advanced),
     ] {
         let mut data = uniform_input(n, 42);
@@ -611,8 +616,7 @@ pub fn trace_bundle(n: usize) -> TraceBundle {
     }
 }
 
-fn spec_label(spec: &hpu_model::ScheduleSpec) -> String {
-    use hpu_model::ScheduleSpec;
+fn spec_label(spec: &ScheduleSpec) -> String {
     match spec {
         ScheduleSpec::Sequential => "sequential".into(),
         ScheduleSpec::CpuParallel => "cpu_parallel".into(),
@@ -647,15 +651,13 @@ type PlanCase = (
     &'static str,
     Recurrence,
     MachineConfig,
-    hpu_model::ScheduleSpec,
+    ScheduleSpec,
 );
 
 /// The compilations behind an executable experiment, or `None` for
 /// model-only and estimation experiments (the tables and Figures 3–6) —
 /// they execute no plans.
 fn plan_cases(experiment: &str) -> Option<Vec<PlanCase>> {
-    use hpu_model::ScheduleSpec;
-
     let rec = <MergeSort as BfAlgorithm<u32>>::recurrence(&MergeSort::new());
     let hpu1 = MachineConfig::hpu1_sim();
     let mut cases: Vec<PlanCase> = Vec::new();

@@ -19,9 +19,10 @@ use hpu_algos::sum::DcSum;
 use hpu_algos::MergeSort;
 use hpu_bench::experiments as exp;
 use hpu_bench::workload::uniform_input;
-use hpu_core::exec::{run_sim, Strategy};
+use hpu_core::exec::run_sim;
 use hpu_core::{BfAlgorithm, Element, RunReport};
 use hpu_machine::{MachineConfig, SimHpu, SimMachineParams};
+use hpu_model::ScheduleSpec;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -106,23 +107,23 @@ fn dump_report(out: &mut String, rep: &RunReport) {
     }
 }
 
-fn strategies() -> Vec<(&'static str, Strategy)> {
+fn strategies() -> Vec<(&'static str, ScheduleSpec)> {
     vec![
-        ("sequential", Strategy::Sequential),
-        ("cpu_only", Strategy::CpuOnly),
-        ("gpu_only", Strategy::GpuOnly),
-        ("basic_auto", Strategy::Basic { crossover: None }),
-        ("basic_2", Strategy::Basic { crossover: Some(2) }),
+        ("sequential", ScheduleSpec::Sequential),
+        ("cpu_only", ScheduleSpec::CpuParallel),
+        ("gpu_only", ScheduleSpec::GpuOnly),
+        ("basic_auto", ScheduleSpec::Basic { crossover: None }),
+        ("basic_2", ScheduleSpec::Basic { crossover: Some(2) }),
         (
             "advanced_a30_y3",
-            Strategy::Advanced {
+            ScheduleSpec::Advanced {
                 alpha: 0.3,
                 transfer_level: 3,
             },
         ),
         (
             "advanced_a50_y1",
-            Strategy::Advanced {
+            ScheduleSpec::Advanced {
                 alpha: 0.5,
                 transfer_level: 1,
             },
@@ -189,7 +190,7 @@ fn run_reports_match_seed_golden() {
 fn pass_pipeline_plans_match_seed_golden_for_every_algorithm() {
     use hpu_model::{
         check_invariant, compile_unoptimized, default_passes, plan_cost, LevelProfile,
-        MachineParams, Placement, Plan, Recurrence, ScheduleSpec,
+        MachineParams, Placement, Plan, Recurrence,
     };
 
     fn dump_plan(out: &mut String, plan: &Plan, cost: f64) {

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use hpu_machine::MachineError;
+use hpu_model::ModelError;
 
 /// Errors raised by framework executors.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +44,9 @@ pub enum CoreError {
     },
     /// An underlying simulated-machine fault.
     Machine(MachineError),
+    /// The schedule did not compile for this input, e.g. a problem too
+    /// small for the advanced solver.
+    Model(ModelError),
 }
 
 impl fmt::Display for CoreError {
@@ -67,6 +71,7 @@ impl fmt::Display for CoreError {
                 write!(f, "malformed execution plan: {reason}")
             }
             CoreError::Machine(e) => write!(f, "machine fault: {e}"),
+            CoreError::Model(e) => write!(f, "schedule does not compile: {e}"),
         }
     }
 }
@@ -75,6 +80,7 @@ impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CoreError::Machine(e) => Some(e),
+            CoreError::Model(e) => Some(e),
             _ => None,
         }
     }
@@ -83,6 +89,19 @@ impl std::error::Error for CoreError {
 impl From<MachineError> for CoreError {
     fn from(e: MachineError) -> Self {
         CoreError::Machine(e)
+    }
+}
+
+/// Schedule-parameter errors keep their executor variants
+/// ([`CoreError::InvalidAlpha`], [`CoreError::InvalidLevel`]); every other
+/// compile error surfaces as [`CoreError::Model`].
+impl From<ModelError> for CoreError {
+    fn from(e: ModelError) -> Self {
+        match e {
+            ModelError::InvalidAlpha(alpha) => CoreError::InvalidAlpha { alpha },
+            ModelError::InvalidLevel { level, levels } => CoreError::InvalidLevel { level, levels },
+            e => CoreError::Model(e),
+        }
     }
 }
 
@@ -101,6 +120,16 @@ mod tests {
         let e = CoreError::from(MachineError::EmptyLaunch);
         assert!(std::error::Error::source(&e).is_some());
         assert!(CoreError::EmptyInput.to_string().contains("empty"));
+        let e = CoreError::from(ModelError::ProblemTooSmall { n: 1, min: 2 });
+        assert_eq!(
+            e,
+            CoreError::Model(ModelError::ProblemTooSmall { n: 1, min: 2 })
+        );
+        assert!(std::error::Error::source(&e).is_some());
+        assert_eq!(
+            CoreError::from(ModelError::InvalidAlpha(2.0)),
+            CoreError::InvalidAlpha { alpha: 2.0 }
+        );
         assert!(CoreError::InvalidAlpha { alpha: 0.0 }
             .to_string()
             .contains("alpha"));

@@ -131,31 +131,7 @@ pub struct InterpretStats {
     pub concurrent: Option<(f64, f64)>,
 }
 
-/// Runs a compiled `plan` for `algo` on `backend`.
-///
-/// Segments execute bottom-up in plan order. For each segment the
-/// interpreter issues the segment's upload edges, the level band (both
-/// shares of a split, device side first — the shares overlap on the
-/// simulator's independent virtual timelines), the download edges, and a
-/// closing sync for segments that touched the device.
-pub fn interpret<T: Element, A: BfAlgorithm<T>, B: Backend<T, A>>(
-    plan: &Plan,
-    algo: &A,
-    backend: &mut B,
-) -> Result<InterpretStats, CoreError> {
-    let mut stats = InterpretStats::default();
-    for (idx, seg) in plan.segments.iter().enumerate() {
-        let r = run_segment(plan, idx, seg, algo, backend, &mut stats);
-        if r.is_err() {
-            backend.recorder().set_segment(None);
-            return r.map(|_| stats);
-        }
-    }
-    backend.recorder().set_segment(None);
-    Ok(stats)
-}
-
-/// Retry/backoff parameters for [`interpret_recover`].
+/// Retry/backoff parameters for [`interpret`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Maximum retries per segment before the fault is surfaced.
@@ -173,6 +149,14 @@ pub struct RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
+    /// No retries: the first fault of any kind surfaces.
+    pub const NO_RETRY: RecoveryPolicy = RecoveryPolicy {
+        max_retries: 0,
+        backoff_base: 0.0,
+        backoff_factor: 1.0,
+        max_backoff: 0.0,
+    };
+
     /// The backoff charged before retry number `attempt` (0-based),
     /// clamped to [`RecoveryPolicy::max_backoff`].
     ///
@@ -207,19 +191,27 @@ pub struct RecoveryStats {
     pub backoff_time: f64,
 }
 
-/// Runs a compiled `plan` like [`interpret`], retrying faulted segments.
+/// Runs a compiled `plan` for `algo` on `backend`, retrying faulted
+/// segments under `policy`.
+///
+/// Segments execute bottom-up in plan order. For each segment the
+/// interpreter issues the segment's upload edges, the level band (both
+/// shares of a split, device side first — the shares overlap on the
+/// simulator's independent virtual timelines), the download edges, and a
+/// closing sync for segments that touched the device.
 ///
 /// A segment that fails with a *transient* machine fault (a dropped kernel
 /// launch or a bus error) is retried whole after an exponential backoff —
 /// safe because every injected fault fires before any host data mutates, so
 /// re-issuing the segment's upload edges restores device state from the
 /// unmodified host buffer. Non-transient errors (device loss, algorithmic
-/// errors) surface immediately. Returns the recovery tallies alongside the
+/// errors) surface immediately, as does every fault under
+/// [`RecoveryPolicy::NO_RETRY`]. Returns the recovery tallies alongside the
 /// result so callers can report retry counts even for failed runs.
 ///
 /// Level metrics booked by failed attempts are kept: they reflect work the
 /// machine really executed (and paid for) before the fault.
-pub fn interpret_recover<T: Element, A: BfAlgorithm<T>, B: Backend<T, A>>(
+pub fn interpret<T: Element, A: BfAlgorithm<T>, B: Backend<T, A>>(
     plan: &Plan,
     algo: &A,
     backend: &mut B,

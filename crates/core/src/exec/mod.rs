@@ -1,12 +1,14 @@
-//! Executors and scheduling strategies for breadth-first D&C algorithms on
-//! the simulated HPU.
+//! Executors for breadth-first D&C algorithms on the simulated HPU and on
+//! native threads.
 //!
-//! [`run_sim`] is the single entry point: it validates the input, compiles
-//! the [`Strategy`] to an execution [`Plan`] (deriving model parameters
-//! where asked to) and hands the plan to the generic [`interpret`] driver
-//! over the simulated-machine backend. Every strategy — sequential,
-//! CPU-parallel, GPU-only, basic crossover, advanced split — runs through
-//! this one interpret path; the returned [`RunReport`] carries
+//! [`run_sim`] compiles a [`ScheduleSpec`] to an execution
+//! [`Plan`](hpu_model::Plan) (deriving model parameters where asked to) and
+//! hands it to [`run_sim_plan`], the one simulated entry point: it
+//! validates the plan against the input and drives the generic
+//! [`interpret`] loop over the simulated-machine backend, with recovery,
+//! metering and checkpoint resume chosen by [`RunOpts`]. Every schedule —
+//! sequential, CPU-parallel, GPU-only, basic crossover, advanced split —
+//! runs through this one path; the returned [`RunReport`] carries
 //! virtual-time, communication and per-level accounting plus a
 //! model-vs-simulation drift report against the *same* plan the run
 //! executed.
@@ -16,15 +18,16 @@ mod native;
 mod sim;
 
 pub use backend::{
-    interpret, interpret_recover, Backend, BandStats, InterpretStats, LevelBand, RecoveryPolicy,
-    RecoveryStats, Share,
+    interpret, Backend, BandStats, InterpretStats, LevelBand, RecoveryPolicy, RecoveryStats, Share,
 };
 pub use native::{run_native, run_native_report, NativeBackend, NativeReport};
 pub use sim::SimBackend;
 
+use std::sync::Arc;
+
 use hpu_machine::{SimHpu, SimMachineParams};
-use hpu_model::{compile, predict_levels, LevelProfile, MachineParams, ModelError, ScheduleSpec};
-use hpu_obs::{drift_rows, LevelBook, LevelDrift, LevelMetrics};
+use hpu_model::{compile, predict_levels, LevelProfile, MachineParams, Plan, ScheduleSpec};
+use hpu_obs::{drift_rows, LevelBook, LevelDrift, LevelMetrics, MetricsRegistry};
 
 use crate::bf::{num_levels, BfAlgorithm, Element};
 use crate::charge::NullCharge;
@@ -36,7 +39,7 @@ use crate::error::CoreError;
 /// boundaries, so every segment boundary is a consistent cut: levels
 /// `0..level` are complete and the partial results live in the host
 /// buffer. A checkpoint records that cut so a crashed job can resume on
-/// another machine via [`run_sim_plan_resume`] instead of restarting.
+/// another machine via [`RunOpts::resume`] instead of restarting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Checkpoint {
     /// First level still to run (levels `0..level` are captured).
@@ -50,38 +53,32 @@ pub struct Checkpoint {
     pub generation: u64,
 }
 
-/// Work-division strategy for a simulated run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Strategy {
-    /// Everything on one CPU core — the paper's baseline.
-    Sequential,
-    /// Breadth-first levels on all `p` CPU cores.
-    CpuOnly,
-    /// Every level (and the leaves) on the GPU, one round trip of data.
-    GpuOnly,
-    /// The basic hybrid division (§5.1): levels below the crossover on the
-    /// GPU, the rest on the CPU. `crossover = None` derives the level
-    /// `⌈log_a(p/γ)⌉` from the machine configuration and the algorithm's
-    /// recurrence.
-    Basic {
-        /// First level (from the top) executed on the GPU.
-        crossover: Option<u32>,
-    },
-    /// The advanced hybrid division (§5.2): split the input `α : 1−α`
-    /// between CPU and GPU, run both concurrently bottom-up, GPU transfers
-    /// back at level `transfer_level` (from the top), CPU finishes.
-    Advanced {
-        /// Fraction of subproblems assigned to the CPU.
-        alpha: f64,
-        /// Level (from the top) at which the GPU hands its results back.
-        transfer_level: u32,
-    },
+/// Options of one [`run_sim_plan`] call. The default runs the whole plan
+/// once, unmetered, surfacing the first fault.
+#[derive(Debug, Clone, Default)]
+pub struct RunOpts {
+    /// Retry faulted segments under this policy (see [`interpret`]);
+    /// `None` surfaces the first fault.
+    pub recovery: Option<RecoveryPolicy>,
+    /// Live registry the interpreter samples per-segment timings
+    /// (kernel, transfer, launch overhead) into.
+    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// Resume from this level-boundary checkpoint instead of running the
+    /// whole plan. The checkpointed prefix — base cases and combine levels
+    /// `0..level` — is *restored*, not re-executed: the host buffer is
+    /// brought to the cut's state by a pure host replay that charges no
+    /// virtual time, the model of reloading saved state. The interpreter
+    /// then runs only the plan suffix ([`Plan::resume_from_level`]),
+    /// re-staging any device region the suffix needs via the retained
+    /// upload edges. The report accounts the resumed work only, so its
+    /// `virtual_time` is the re-execution a recovery *avoided* paying.
+    pub resume: Option<Checkpoint>,
 }
 
 /// Accounting of one simulated run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Human-readable description of the resolved strategy.
+    /// Human-readable description of the resolved schedule.
     pub label: String,
     /// Virtual time the run took (makespan over both units).
     pub virtual_time: f64,
@@ -97,8 +94,9 @@ pub struct RunReport {
     pub cpu_busy: f64,
     /// Total busy time on the GPU.
     pub gpu_busy: f64,
-    /// The strategy after parameter resolution (e.g. derived crossover).
-    pub resolved: Strategy,
+    /// The schedule after parameter resolution (e.g. derived crossover):
+    /// the executed plan's [`Plan::resolved`].
+    pub resolved: ScheduleSpec,
     /// Durations of the advanced schedule's concurrent phase on each unit
     /// (CPU, GPU including the transfer back): the paper's "GPU/CPU" ratio
     /// of Figure 8 is `concurrent.1 / concurrent.0`.
@@ -111,82 +109,26 @@ pub struct RunReport {
     pub drift: Vec<LevelDrift>,
 }
 
-/// The model-side schedule a strategy compiles as.
-fn spec_of(strategy: &Strategy) -> ScheduleSpec {
-    match strategy {
-        Strategy::Sequential => ScheduleSpec::Sequential,
-        Strategy::CpuOnly => ScheduleSpec::CpuParallel,
-        Strategy::GpuOnly => ScheduleSpec::GpuOnly,
-        Strategy::Basic { crossover } => ScheduleSpec::Basic {
-            crossover: *crossover,
-        },
-        Strategy::Advanced {
-            alpha,
-            transfer_level,
-        } => ScheduleSpec::Advanced {
-            alpha: *alpha,
-            transfer_level: *transfer_level,
-        },
-    }
-}
-
-/// The strategy a compiled plan's resolved schedule reports as.
-fn strategy_of(resolved: &ScheduleSpec) -> Strategy {
-    match resolved {
-        ScheduleSpec::Sequential => Strategy::Sequential,
-        ScheduleSpec::CpuParallel => Strategy::CpuOnly,
-        ScheduleSpec::GpuOnly => Strategy::GpuOnly,
-        ScheduleSpec::Basic { crossover: Some(c) } => Strategy::Basic {
-            crossover: Some(*c),
-        },
-        // Compilation degrades a GPU-less basic schedule to CPU-parallel.
-        ScheduleSpec::Basic { crossover: None } => Strategy::CpuOnly,
-        ScheduleSpec::Advanced {
-            alpha,
-            transfer_level,
-        } => Strategy::Advanced {
-            alpha: *alpha,
-            transfer_level: *transfer_level,
-        },
-        ScheduleSpec::AdvancedAuto => unreachable!("compile resolves AdvancedAuto"),
-    }
-}
-
-/// Maps a plan-compilation error to the executor error space.
-fn compile_error(e: ModelError) -> CoreError {
-    match e {
-        ModelError::InvalidAlpha(alpha) => CoreError::InvalidAlpha { alpha },
-        ModelError::InvalidLevel { level, levels } => CoreError::InvalidLevel { level, levels },
-        _ => CoreError::EmptyInput,
-    }
-}
-
-/// Runs `algo` over `data` on the simulated machine under `strategy`.
+/// Runs `algo` over `data` on the simulated machine under `spec`.
 ///
 /// `data.len()` must be `base_chunk · a^k` (see
-/// [`crate::CoreError::InvalidSize`]). The strategy is compiled to an
-/// execution [`Plan`](hpu_model::Plan) and interpreted on a [`SimBackend`];
-/// invalid advanced parameters surface as [`CoreError::InvalidAlpha`] /
-/// [`CoreError::InvalidLevel`] before any work runs. On success `data`
-/// holds the result and the report carries the virtual-time accounting,
-/// per-level metrics and the model-vs-simulation drift rows.
+/// [`crate::CoreError::InvalidSize`]). The schedule is compiled to an
+/// execution [`Plan`] and interpreted on a [`SimBackend`]; invalid advanced
+/// parameters surface as [`CoreError::InvalidAlpha`] /
+/// [`CoreError::InvalidLevel`], and any other compile failure as
+/// [`CoreError::Model`], before any work runs. On success `data` holds the
+/// result and the report carries the virtual-time accounting, per-level
+/// metrics and the model-vs-simulation drift rows.
 pub fn run_sim<T: Element, A: BfAlgorithm<T>>(
     algo: &A,
     data: &mut [T],
     hpu: &mut SimHpu,
-    strategy: &Strategy,
+    spec: &ScheduleSpec,
 ) -> Result<RunReport, CoreError> {
     let levels = num_levels(algo, data.len())?;
     let params = MachineParams::from_sim(hpu);
-    let plan = compile(
-        &spec_of(strategy),
-        &params,
-        &algo.recurrence(),
-        data.len() as u64,
-        levels,
-    )
-    .map_err(compile_error)?;
-    run_sim_plan(algo, data, hpu, &plan)
+    let plan = compile(spec, &params, &algo.recurrence(), data.len() as u64, levels)?;
+    run_sim_plan(algo, data, hpu, &plan, &RunOpts::default()).0
 }
 
 /// Runs `algo` over `data` on the simulated machine under an
@@ -198,95 +140,20 @@ pub fn run_sim<T: Element, A: BfAlgorithm<T>>(
 /// a machine of the caller's choosing. The plan must match the input
 /// (`plan.n == data.len()`, `plan.exec_levels` = the algorithm's level
 /// count for that size); a mismatched plan is rejected as
-/// [`CoreError::MalformedPlan`] before any work runs.
+/// [`CoreError::MalformedPlan`] before any work runs. `opts` picks the
+/// retry policy, the metrics registry and a checkpoint to resume from; the
+/// recovery tallies come back alongside the result so callers can report
+/// retry counts even when the run fails.
 pub fn run_sim_plan<T: Element, A: BfAlgorithm<T>>(
     algo: &A,
     data: &mut [T],
     hpu: &mut SimHpu,
-    plan: &hpu_model::Plan,
-) -> Result<RunReport, CoreError> {
-    run_sim_plan_inner(algo, data, hpu, plan, None, None).0
-}
-
-/// Runs an already-compiled `plan` like [`run_sim_plan`], sampling
-/// per-segment interpreter timings (kernel, transfer, launch-overhead)
-/// into `metrics` when one is attached.
-pub fn run_sim_plan_metered<T: Element, A: BfAlgorithm<T>>(
-    algo: &A,
-    data: &mut [T],
-    hpu: &mut SimHpu,
-    plan: &hpu_model::Plan,
-    metrics: Option<std::sync::Arc<hpu_obs::MetricsRegistry>>,
-) -> Result<RunReport, CoreError> {
-    run_sim_plan_inner(algo, data, hpu, plan, None, metrics).0
-}
-
-/// Runs an already-compiled `plan` like [`run_sim_plan`], retrying faulted
-/// segments under `policy` (see [`interpret_recover`]). The recovery
-/// tallies come back alongside the result so callers can report retry
-/// counts even when the run ultimately fails.
-pub fn run_sim_plan_recover<T: Element, A: BfAlgorithm<T>>(
-    algo: &A,
-    data: &mut [T],
-    hpu: &mut SimHpu,
-    plan: &hpu_model::Plan,
-    policy: &RecoveryPolicy,
+    plan: &Plan,
+    opts: &RunOpts,
 ) -> (Result<RunReport, CoreError>, RecoveryStats) {
-    run_sim_plan_inner(algo, data, hpu, plan, Some(policy), None)
-}
-
-/// [`run_sim_plan_recover`] with an optional live metrics registry, for
-/// callers that want recovery *and* interpreter sampling.
-pub fn run_sim_plan_recover_metered<T: Element, A: BfAlgorithm<T>>(
-    algo: &A,
-    data: &mut [T],
-    hpu: &mut SimHpu,
-    plan: &hpu_model::Plan,
-    policy: &RecoveryPolicy,
-    metrics: Option<std::sync::Arc<hpu_obs::MetricsRegistry>>,
-) -> (Result<RunReport, CoreError>, RecoveryStats) {
-    run_sim_plan_inner(algo, data, hpu, plan, Some(policy), metrics)
-}
-
-/// Resumes an already-compiled `plan` from `ckpt` on a (possibly
-/// different) simulated machine.
-///
-/// The checkpointed prefix — base cases and combine levels `0..level` —
-/// is *restored*, not re-executed: the host buffer is brought to the
-/// cut's state by a pure host replay that charges no virtual time, the
-/// model of reloading saved state. The interpreter then runs only the
-/// plan suffix ([`hpu_model::Plan::resume_from_level`]), re-staging any
-/// device region the suffix needs via the retained upload edges. The
-/// returned report accounts the resumed work only, so
-/// `virtual_time` is the re-execution a recovery *avoided* paying.
-pub fn run_sim_plan_resume<T: Element, A: BfAlgorithm<T>>(
-    algo: &A,
-    data: &mut [T],
-    hpu: &mut SimHpu,
-    plan: &hpu_model::Plan,
-    ckpt: &Checkpoint,
-) -> Result<RunReport, CoreError> {
-    let levels = num_levels(algo, data.len())?;
-    if ckpt.level > levels {
-        return Err(CoreError::InvalidLevel {
-            level: ckpt.level,
-            levels,
-        });
-    }
-    let suffix = plan
-        .resume_from_level(ckpt.level)
-        .map_err(|_| CoreError::MalformedPlan {
-            reason: "plan does not cover the checkpoint level",
-        })?;
-    restore_to_level(algo, data, ckpt.level);
-    let t = hpu.elapsed();
-    hpu.annotate(
-        hpu_machine::Unit::Cpu,
-        t,
-        t,
-        hpu_obs::EventKind::Resume { level: ckpt.level },
-    );
-    run_sim_plan_inner(algo, data, hpu, &suffix, None, None).0
+    let mut rstats = RecoveryStats::default();
+    let result = run_checked(algo, data, hpu, plan, opts, &mut rstats);
+    (result, rstats)
 }
 
 /// Replays the checkpointed prefix (base cases plus combine levels below
@@ -326,35 +193,53 @@ fn restore_to_level<T: Element, A: BfAlgorithm<T>>(algo: &A, data: &mut [T], lev
     }
 }
 
-fn run_sim_plan_inner<T: Element, A: BfAlgorithm<T>>(
+/// The body of [`run_sim_plan`]; the recovery tallies land in `rstats` so
+/// they survive an error return.
+fn run_checked<T: Element, A: BfAlgorithm<T>>(
     algo: &A,
     data: &mut [T],
     hpu: &mut SimHpu,
-    plan: &hpu_model::Plan,
-    policy: Option<&RecoveryPolicy>,
-    metrics: Option<std::sync::Arc<hpu_obs::MetricsRegistry>>,
-) -> (Result<RunReport, CoreError>, RecoveryStats) {
-    let mut rstats = RecoveryStats::default();
-    let levels = match num_levels(algo, data.len()) {
-        Ok(l) => l,
-        Err(e) => return (Err(e), rstats),
+    plan: &Plan,
+    opts: &RunOpts,
+    rstats: &mut RecoveryStats,
+) -> Result<RunReport, CoreError> {
+    let levels = num_levels(algo, data.len())?;
+    let suffix;
+    let plan = match &opts.resume {
+        None => plan,
+        Some(ckpt) => {
+            if ckpt.level > levels {
+                return Err(CoreError::InvalidLevel {
+                    level: ckpt.level,
+                    levels,
+                });
+            }
+            suffix = plan
+                .resume_from_level(ckpt.level)
+                .map_err(|_| CoreError::MalformedPlan {
+                    reason: "plan does not cover the checkpoint level",
+                })?;
+            restore_to_level(algo, data, ckpt.level);
+            let t = hpu.elapsed();
+            hpu.annotate(
+                hpu_machine::Unit::Cpu,
+                t,
+                t,
+                hpu_obs::EventKind::Resume { level: ckpt.level },
+            );
+            &suffix
+        }
     };
     let n = data.len();
     if plan.segments.is_empty() {
-        return (
-            Err(CoreError::MalformedPlan {
-                reason: "plan has no segments",
-            }),
-            rstats,
-        );
+        return Err(CoreError::MalformedPlan {
+            reason: "plan has no segments",
+        });
     }
     if plan.n != n as u64 || plan.exec_levels != levels {
-        return (
-            Err(CoreError::MalformedPlan {
-                reason: "plan was compiled for a different input",
-            }),
-            rstats,
-        );
+        return Err(CoreError::MalformedPlan {
+            reason: "plan was compiled for a different input",
+        });
     }
     hpu.sync();
     let t0 = hpu.elapsed();
@@ -368,51 +253,42 @@ fn run_sim_plan_inner<T: Element, A: BfAlgorithm<T>>(
 
     let book = LevelBook::new(algo.base_chunk() as u64, algo.branching() as u64);
     let mut backend = SimBackend::new(hpu, data, book);
-    if let Some(m) = metrics {
-        backend = backend.with_metrics(m);
+    if let Some(m) = &opts.metrics {
+        backend = backend.with_metrics(m.clone());
     }
-    let run = match policy {
-        Some(p) => {
-            let (r, rs) = interpret_recover(plan, algo, &mut backend, p);
-            rstats = rs;
-            r
-        }
-        None => interpret(plan, algo, &mut backend),
-    };
+    let policy = opts.recovery.unwrap_or(RecoveryPolicy::NO_RETRY);
+    let (run, rs) = interpret(plan, algo, &mut backend, &policy);
+    *rstats = rs;
     let stats = match run {
         Ok(s) => s,
         Err(e) => {
             drop(backend);
             hpu.sync();
-            return (Err(e), rstats);
+            return Err(e);
         }
     };
     let book = backend.into_book();
 
     hpu.sync();
     let level_metrics = book.finish();
-    let resolved = strategy_of(&plan.resolved);
     let profile = LevelProfile::new(&params, &rec, n as u64);
     let predicted: Vec<(u32, f64)> = predict_levels(&profile, plan)
         .into_iter()
         .map(|p| (p.level, p.time))
         .collect();
     let drift = drift_rows(&level_metrics, &predicted);
-    (
-        Ok(RunReport {
-            label: format!("{resolved:?} on {}", algo.name()),
-            virtual_time: hpu.elapsed() - t0,
-            transfers: hpu.bus.transfers() - transfers0,
-            words: hpu.bus.words() - words0,
-            coalesced: stats.coalesced,
-            uncoalesced: stats.uncoalesced,
-            cpu_busy: hpu.cpu.stats().busy_core_time - cpu_busy0,
-            gpu_busy: hpu.gpu.stats().busy - gpu_busy0,
-            resolved,
-            concurrent: stats.concurrent,
-            levels: level_metrics,
-            drift,
-        }),
-        rstats,
-    )
+    Ok(RunReport {
+        label: format!("{:?} on {}", plan.resolved, algo.name()),
+        virtual_time: hpu.elapsed() - t0,
+        transfers: hpu.bus.transfers() - transfers0,
+        words: hpu.bus.words() - words0,
+        coalesced: stats.coalesced,
+        uncoalesced: stats.uncoalesced,
+        cpu_busy: hpu.cpu.stats().busy_core_time - cpu_busy0,
+        gpu_busy: hpu.gpu.stats().busy - gpu_busy0,
+        resolved: plan.resolved.clone(),
+        concurrent: stats.concurrent,
+        levels: level_metrics,
+        drift,
+    })
 }

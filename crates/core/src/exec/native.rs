@@ -19,7 +19,7 @@ use hpu_obs::{EventKind, LevelBook, LevelMetrics, LevelPhase, TraceEvent, WallRe
 use crate::bf::{num_levels, BfAlgorithm, Element};
 use crate::charge::NullCharge;
 use crate::error::CoreError;
-use crate::exec::backend::{interpret, Backend, BandStats, LevelBand, Share};
+use crate::exec::backend::{interpret, Backend, BandStats, LevelBand, RecoveryPolicy, Share};
 use crate::pool::LevelPool;
 
 /// Wall-clock accounting of one native run.
@@ -228,7 +228,7 @@ pub fn run_native_report<T: Element, A: BfAlgorithm<T>>(
     let plan = Plan::host_only(n as u64, levels, pool.threads(), ScheduleSpec::CpuParallel);
     let book = LevelBook::new(algo.base_chunk() as u64, algo.branching() as u64);
     let mut backend = NativeBackend::new(pool, data, book);
-    interpret(&plan, algo, &mut backend)?;
+    interpret(&plan, algo, &mut backend, &RecoveryPolicy::NO_RETRY).0?;
     let wall = backend.wall();
     let book = backend.into_book();
     let trace = std::mem::take(

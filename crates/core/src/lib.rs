@@ -18,13 +18,24 @@
 //!   `a` solved chunks into one. This form is what the hybrid schedulers
 //!   in [`exec`] run on the simulated machine, including:
 //!
-//!   - [`exec::Strategy::Sequential`] — the 1-core baseline,
-//!   - [`exec::Strategy::CpuOnly`] — level-parallel on `p` cores,
-//!   - [`exec::Strategy::GpuOnly`] — every level on the device,
-//!   - [`exec::Strategy::Basic`] — one crossover level (§5.1, Figure 1),
-//!   - [`exec::Strategy::Advanced`] — the `(α, y)` concurrent split
+//!   - [`ScheduleSpec::Sequential`] — the 1-core baseline,
+//!   - [`ScheduleSpec::CpuParallel`] — level-parallel on `p` cores,
+//!   - [`ScheduleSpec::GpuOnly`] — every level on the device,
+//!   - [`ScheduleSpec::Basic`] — one crossover level (§5.1, Figure 1),
+//!   - [`ScheduleSpec::Advanced`] — the `(α, y)` concurrent split
 //!     (§5.2, Figure 2), with parameters solvable by
 //!     [`tune::auto_advanced`] from the analytic model.
+//!
+//!   Every schedule compiles to one [`hpu_model::Plan`] and runs through
+//!   one [`exec::interpret`] loop; [`exec::run_sim_plan`] is the one
+//!   simulated entry point, with retries, metering and checkpoint resume
+//!   chosen by [`exec::RunOpts`].
+//!
+//! [`ScheduleSpec::Sequential`]: hpu_model::ScheduleSpec::Sequential
+//! [`ScheduleSpec::CpuParallel`]: hpu_model::ScheduleSpec::CpuParallel
+//! [`ScheduleSpec::GpuOnly`]: hpu_model::ScheduleSpec::GpuOnly
+//! [`ScheduleSpec::Basic`]: hpu_model::ScheduleSpec::Basic
+//! [`ScheduleSpec::Advanced`]: hpu_model::ScheduleSpec::Advanced
 //!
 //! A from-scratch [`pool::LevelPool`] provides real-thread execution of the
 //! same breadth-first levels for native use of the library.
@@ -44,10 +55,9 @@ pub use bf::{BfAlgorithm, Element, LevelInfo};
 pub use charge::Charge;
 pub use error::CoreError;
 pub use exec::{
-    interpret, interpret_recover, run_native, run_native_report, run_sim, run_sim_plan,
-    run_sim_plan_recover, run_sim_plan_resume, Backend, BandStats, Checkpoint, InterpretStats,
-    LevelBand, NativeBackend, NativeReport, RecoveryPolicy, RecoveryStats, RunReport, Share,
-    SimBackend, Strategy,
+    interpret, run_native, run_native_report, run_sim, run_sim_plan, Backend, BandStats,
+    Checkpoint, InterpretStats, LevelBand, NativeBackend, NativeReport, RecoveryPolicy,
+    RecoveryStats, RunOpts, RunReport, Share, SimBackend,
 };
 pub use pool::LevelPool;
 pub use tree::DivideConquer;

@@ -6,38 +6,33 @@ use hpu_model::{compile, BasicSchedule, MachineParams, Recurrence, ScheduleSpec}
 
 use crate::bf::{BfAlgorithm, Element};
 use crate::error::CoreError;
-use crate::exec::{run_sim, Strategy};
+use crate::exec::run_sim;
 
 /// Derives the model-optimal advanced schedule `(α*, y*)` for `rec` at
 /// input size `n` on the given machine, with `y` rounded to an executable
 /// integer level clamped to `[1, L]`. Compiles an
-/// [`ScheduleSpec::AdvancedAuto`] plan and reads the resolved parameters
-/// off it, so tuning and execution can never derive different `(α, y)`.
-pub fn auto_advanced(cfg: &MachineConfig, rec: &Recurrence, n: u64) -> Result<Strategy, CoreError> {
+/// [`ScheduleSpec::AdvancedAuto`] plan and returns its resolved
+/// [`ScheduleSpec::Advanced`], so tuning and execution can never derive
+/// different `(α, y)`. A problem the solver cannot split surfaces as
+/// [`CoreError::Model`].
+pub fn auto_advanced(
+    cfg: &MachineConfig,
+    rec: &Recurrence,
+    n: u64,
+) -> Result<ScheduleSpec, CoreError> {
     let params = MachineParams::from_config(cfg);
     let levels = rec.num_levels(n);
-    let plan = compile(&ScheduleSpec::AdvancedAuto, &params, rec, n, levels)
-        .map_err(|_| CoreError::EmptyInput)?;
-    match plan.resolved {
-        ScheduleSpec::Advanced {
-            alpha,
-            transfer_level,
-        } => Ok(Strategy::Advanced {
-            alpha,
-            transfer_level,
-        }),
-        _ => Err(CoreError::EmptyInput),
-    }
+    Ok(compile(&ScheduleSpec::AdvancedAuto, &params, rec, n, levels)?.resolved)
 }
 
-/// Picks a strategy automatically: the advanced division when the GPU is
-/// worth using (`γ·g > p`), CPU-only otherwise.
-pub fn auto_strategy(cfg: &MachineConfig, rec: &Recurrence, n: u64) -> Strategy {
+/// Picks a schedule automatically: the advanced division when the GPU is
+/// worth using (`γ·g > p`), CPU-parallel otherwise.
+pub fn auto_strategy(cfg: &MachineConfig, rec: &Recurrence, n: u64) -> ScheduleSpec {
     let params = MachineParams::from_config(cfg);
     if BasicSchedule::derive(&params, rec).crossover.is_none() {
-        return Strategy::CpuOnly;
+        return ScheduleSpec::CpuParallel;
     }
-    auto_advanced(cfg, rec, n).unwrap_or(Strategy::CpuOnly)
+    auto_advanced(cfg, rec, n).unwrap_or(ScheduleSpec::CpuParallel)
 }
 
 /// Result of an empirical grid search over `(α, y)`.
@@ -73,7 +68,7 @@ pub fn grid_search_sim<T: Element, A: BfAlgorithm<T>>(
                 algo,
                 &mut data,
                 &mut hpu,
-                &Strategy::Advanced {
+                &ScheduleSpec::Advanced {
                     alpha,
                     transfer_level: y,
                 },

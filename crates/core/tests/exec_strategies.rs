@@ -2,12 +2,12 @@
 //! independent of the algorithm library.
 
 use hpu_core::charge::Charge;
-use hpu_core::exec::{run_native, run_sim, Strategy};
+use hpu_core::exec::{run_native, run_sim};
 use hpu_core::pool::LevelPool;
 use hpu_core::tune::{auto_advanced, grid_search_sim};
 use hpu_core::{BfAlgorithm, CoreError};
 use hpu_machine::{CpuConfig, GpuConfig, MachineConfig, SimHpu};
-use hpu_model::{CostFn, Recurrence};
+use hpu_model::{CostFn, ModelError, Recurrence, ScheduleSpec};
 
 /// Minimal 2-way mergesort in breadth-first form.
 struct ToySort;
@@ -84,7 +84,7 @@ fn sorted_copy(v: &[u32]) -> Vec<u32> {
     s
 }
 
-fn run(strategy: &Strategy, n: usize) -> (Vec<u32>, hpu_core::RunReport) {
+fn run(strategy: &ScheduleSpec, n: usize) -> (Vec<u32>, hpu_core::RunReport) {
     let mut data = input(n);
     let expect = sorted_copy(&data);
     let mut hpu = SimHpu::new(test_machine());
@@ -97,12 +97,12 @@ fn run(strategy: &Strategy, n: usize) -> (Vec<u32>, hpu_core::RunReport) {
 fn every_strategy_sorts_correctly() {
     let n = 1 << 10;
     for strategy in [
-        Strategy::Sequential,
-        Strategy::CpuOnly,
-        Strategy::GpuOnly,
-        Strategy::Basic { crossover: None },
-        Strategy::Basic { crossover: Some(3) },
-        Strategy::Advanced {
+        ScheduleSpec::Sequential,
+        ScheduleSpec::CpuParallel,
+        ScheduleSpec::GpuOnly,
+        ScheduleSpec::Basic { crossover: None },
+        ScheduleSpec::Basic { crossover: Some(3) },
+        ScheduleSpec::Advanced {
             alpha: 0.25,
             transfer_level: 4,
         },
@@ -114,8 +114,8 @@ fn every_strategy_sorts_correctly() {
 #[test]
 fn cpu_only_beats_sequential_by_about_p() {
     let n = 1 << 12;
-    let (_, seq) = run(&Strategy::Sequential, n);
-    let (_, par) = run(&Strategy::CpuOnly, n);
+    let (_, seq) = run(&ScheduleSpec::Sequential, n);
+    let (_, par) = run(&ScheduleSpec::CpuParallel, n);
     let speedup = seq.virtual_time / par.virtual_time;
     // 4 cores, serial top levels: between 2x and 4x.
     assert!(
@@ -127,10 +127,10 @@ fn cpu_only_beats_sequential_by_about_p() {
 #[test]
 fn hybrid_transfers_exactly_twice() {
     let n = 1 << 10;
-    let (_, basic) = run(&Strategy::Basic { crossover: Some(3) }, n);
+    let (_, basic) = run(&ScheduleSpec::Basic { crossover: Some(3) }, n);
     assert_eq!(basic.transfers, 2, "basic: one round trip");
     let (_, adv) = run(
-        &Strategy::Advanced {
+        &ScheduleSpec::Advanced {
             alpha: 0.25,
             transfer_level: 4,
         },
@@ -144,7 +144,7 @@ fn hybrid_transfers_exactly_twice() {
 #[test]
 fn advanced_beats_cpu_only_at_scale() {
     let n = 1 << 14;
-    let (_, cpu) = run(&Strategy::CpuOnly, n);
+    let (_, cpu) = run(&ScheduleSpec::CpuParallel, n);
     let cfg = test_machine();
     let strategy = auto_advanced(&cfg, &ToySort.recurrence(), n as u64).unwrap();
     let (_, adv) = run(&strategy, n);
@@ -159,9 +159,9 @@ fn advanced_beats_cpu_only_at_scale() {
 #[test]
 fn basic_beats_gpu_only_and_sequential() {
     let n = 1 << 12;
-    let (_, seq) = run(&Strategy::Sequential, n);
-    let (_, gpu) = run(&Strategy::GpuOnly, n);
-    let (_, basic) = run(&Strategy::Basic { crossover: None }, n);
+    let (_, seq) = run(&ScheduleSpec::Sequential, n);
+    let (_, gpu) = run(&ScheduleSpec::GpuOnly, n);
+    let (_, basic) = run(&ScheduleSpec::Basic { crossover: None }, n);
     assert!(basic.virtual_time < seq.virtual_time);
     assert!(
         basic.virtual_time < gpu.virtual_time,
@@ -180,7 +180,7 @@ fn invalid_parameters_are_rejected() {
         &ToySort,
         &mut data,
         &mut hpu,
-        &Strategy::Advanced {
+        &ScheduleSpec::Advanced {
             alpha: 0.5,
             transfer_level: 99,
         },
@@ -192,7 +192,7 @@ fn invalid_parameters_are_rejected() {
         &ToySort,
         &mut data,
         &mut hpu,
-        &Strategy::Advanced {
+        &ScheduleSpec::Advanced {
             alpha: 0.5,
             transfer_level: 0,
         },
@@ -204,7 +204,7 @@ fn invalid_parameters_are_rejected() {
         &ToySort,
         &mut data,
         &mut hpu,
-        &Strategy::Advanced {
+        &ScheduleSpec::Advanced {
             alpha: f64::NAN,
             transfer_level: 4,
         },
@@ -217,10 +217,10 @@ fn invalid_parameters_are_rejected() {
 fn non_power_of_two_input_is_rejected() {
     let mut data = input(1000);
     let mut hpu = SimHpu::new(test_machine());
-    let err = run_sim(&ToySort, &mut data, &mut hpu, &Strategy::Sequential).unwrap_err();
+    let err = run_sim(&ToySort, &mut data, &mut hpu, &ScheduleSpec::Sequential).unwrap_err();
     assert!(matches!(err, CoreError::InvalidSize { .. }));
     let mut empty: Vec<u32> = vec![];
-    let err = run_sim(&ToySort, &mut empty, &mut hpu, &Strategy::Sequential).unwrap_err();
+    let err = run_sim(&ToySort, &mut empty, &mut hpu, &ScheduleSpec::Sequential).unwrap_err();
     assert!(matches!(err, CoreError::EmptyInput));
 }
 
@@ -254,14 +254,14 @@ fn grid_search_finds_minimum_of_its_samples() {
 #[test]
 fn trivial_input_sizes_work() {
     // n = 1: no combine levels at all.
-    run(&Strategy::Sequential, 1);
-    run(&Strategy::CpuOnly, 1);
-    run(&Strategy::GpuOnly, 1);
+    run(&ScheduleSpec::Sequential, 1);
+    run(&ScheduleSpec::CpuParallel, 1);
+    run(&ScheduleSpec::GpuOnly, 1);
     // n = 2: a single combine level.
-    run(&Strategy::Sequential, 2);
-    run(&Strategy::GpuOnly, 2);
+    run(&ScheduleSpec::Sequential, 2);
+    run(&ScheduleSpec::GpuOnly, 2);
     run(
-        &Strategy::Advanced {
+        &ScheduleSpec::Advanced {
             alpha: 0.5,
             transfer_level: 1,
         },
@@ -276,7 +276,7 @@ fn unoptimized_and_partially_optimized_plans_execute_identically() {
     // its own round trip), the elided form (device state kept live across
     // segment boundaries), and the fully fused plans the compiler emits.
     use hpu_machine::SimMachineParams;
-    use hpu_model::{compile_unoptimized, default_passes, MachineParams, ScheduleSpec};
+    use hpu_model::{compile_unoptimized, default_passes, MachineParams};
 
     let n = 1 << 10;
     let rec = ToySort.recurrence();
@@ -304,7 +304,9 @@ fn unoptimized_and_partially_optimized_plans_execute_identically() {
         let expect = sorted_copy(&input(n));
         for (i, stage) in stages.iter().enumerate() {
             let mut data = input(n);
-            hpu_core::run_sim_plan(&ToySort, &mut data, &mut hpu, stage)
+            let opts = hpu_core::RunOpts::default();
+            hpu_core::run_sim_plan(&ToySort, &mut data, &mut hpu, stage, &opts)
+                .0
                 .unwrap_or_else(|e| panic!("{spec:?} stage {i}: {e:?}"));
             assert_eq!(data, expect, "{spec:?} at optimization stage {i}");
         }
@@ -332,23 +334,22 @@ fn weak_gpu_machine_degrades_basic_to_cpu() {
         &ToySort,
         &mut data,
         &mut hpu,
-        &Strategy::Basic { crossover: None },
+        &ScheduleSpec::Basic { crossover: None },
     )
     .unwrap();
     assert_eq!(data, expect);
     assert_eq!(report.transfers, 0, "no GPU use on a weak device");
-    assert_eq!(report.resolved, Strategy::CpuOnly);
+    assert_eq!(report.resolved, ScheduleSpec::CpuParallel);
 }
 
 #[test]
 fn resume_from_checkpoint_skips_completed_levels_and_stays_correct() {
-    use hpu_core::{run_sim_plan_resume, Checkpoint};
+    use hpu_core::{run_sim_plan, Checkpoint, RunOpts};
     use hpu_machine::SimMachineParams;
-    use hpu_model::{compile, MachineParams, ScheduleSpec};
+    use hpu_model::{compile, MachineParams};
 
     let n = 1 << 10;
-    let mut hpu = SimHpu::new(test_machine());
-    let params = MachineParams::from_sim(&hpu);
+    let params = MachineParams::from_sim(&SimHpu::new(test_machine()));
     let plan = compile(
         &ScheduleSpec::Basic { crossover: Some(4) },
         &params,
@@ -358,46 +359,36 @@ fn resume_from_checkpoint_skips_completed_levels_and_stays_correct() {
     )
     .unwrap();
     let expect = sorted_copy(&input(n));
+    // Runs the plan on a fresh machine, resuming from `level` if given.
+    let run = |level: Option<u32>| {
+        let opts = RunOpts {
+            resume: level.map(|level| Checkpoint {
+                level,
+                resident_words: n as u64,
+                generation: 0,
+            }),
+            ..RunOpts::default()
+        };
+        let mut data = input(n);
+        let mut hpu = SimHpu::new(test_machine());
+        let report = run_sim_plan(&ToySort, &mut data, &mut hpu, &plan, &opts).0;
+        (data, report)
+    };
 
-    let mut data = input(n);
-    let full = hpu_core::run_sim_plan(&ToySort, &mut data, &mut hpu, &plan).unwrap();
+    let (data, full) = run(None);
+    let full = full.unwrap();
     assert_eq!(data, expect);
 
     // Resuming from level 0 restores nothing and runs the whole plan.
-    let mut hpu0 = SimHpu::new(test_machine());
-    let mut data0 = input(n);
-    let from0 = run_sim_plan_resume(
-        &ToySort,
-        &mut data0,
-        &mut hpu0,
-        &plan,
-        &Checkpoint {
-            level: 0,
-            resident_words: n as u64,
-            generation: 0,
-        },
-    )
-    .unwrap();
+    let (data0, from0) = run(Some(0));
     assert_eq!(data0, expect);
-    assert!((from0.virtual_time - full.virtual_time).abs() < 1e-9);
+    assert!((from0.unwrap().virtual_time - full.virtual_time).abs() < 1e-9);
 
     // Resuming from a mid-plan cut is still correct and strictly cheaper:
     // the restored prefix charges no virtual time.
     for level in [3u32, 6, 9] {
-        let mut hpu2 = SimHpu::new(test_machine());
-        let mut data2 = input(n);
-        let resumed = run_sim_plan_resume(
-            &ToySort,
-            &mut data2,
-            &mut hpu2,
-            &plan,
-            &Checkpoint {
-                level,
-                resident_words: n as u64,
-                generation: 0,
-            },
-        )
-        .unwrap();
+        let (data2, resumed) = run(Some(level));
+        let resumed = resumed.unwrap();
         assert_eq!(data2, expect, "resume from level {level}");
         assert!(
             resumed.virtual_time < full.virtual_time,
@@ -408,17 +399,21 @@ fn resume_from_checkpoint_skips_completed_levels_and_stays_correct() {
     }
 
     // A checkpoint past the plan's levels is rejected before any work.
-    let mut data3 = input(n);
-    let got = run_sim_plan_resume(
-        &ToySort,
-        &mut data3,
-        &mut SimHpu::new(test_machine()),
-        &plan,
-        &Checkpoint {
-            level: 11,
-            resident_words: n as u64,
-            generation: 0,
-        },
+    assert!(run(Some(11)).1.is_err());
+}
+
+/// Regression: compile errors other than bad `α` or level used to surface
+/// as `EmptyInput` even for a non-empty input.
+#[test]
+fn advanced_auto_on_one_element_reports_the_model_error() {
+    let too_small = CoreError::Model(ModelError::ProblemTooSmall { n: 1, min: 2 });
+    let cfg = MachineConfig::hpu1_sim();
+    assert_eq!(
+        auto_advanced(&cfg, &Recurrence::mergesort(), 1),
+        Err(too_small.clone())
     );
-    assert!(got.is_err());
+    let mut data = input(1);
+    let mut hpu = SimHpu::new(test_machine());
+    let err = run_sim(&ToySort, &mut data, &mut hpu, &ScheduleSpec::AdvancedAuto).unwrap_err();
+    assert_eq!(err, too_small);
 }

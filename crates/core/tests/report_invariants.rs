@@ -5,10 +5,10 @@
 //! observability layer.
 
 use hpu_core::charge::Charge;
-use hpu_core::exec::{run_sim, Strategy};
+use hpu_core::exec::run_sim;
 use hpu_core::{BfAlgorithm, RunReport};
 use hpu_machine::{CpuConfig, EventKind, GpuConfig, MachineConfig, SimHpu, Unit};
-use hpu_model::{CostFn, Recurrence};
+use hpu_model::{CostFn, Recurrence, ScheduleSpec};
 use hpu_obs::Track;
 
 /// Minimal 2-way mergesort in breadth-first form.
@@ -70,22 +70,22 @@ fn test_machine() -> MachineConfig {
     }
 }
 
-fn strategies() -> Vec<Strategy> {
+fn strategies() -> Vec<ScheduleSpec> {
     vec![
-        Strategy::Sequential,
-        Strategy::CpuOnly,
-        Strategy::GpuOnly,
-        // An explicit crossover: `None` may degrade to CpuOnly and then the
+        ScheduleSpec::Sequential,
+        ScheduleSpec::CpuParallel,
+        ScheduleSpec::GpuOnly,
+        // An explicit crossover: `None` may degrade to CpuParallel and then the
         // transfer guarantees don't apply.
-        Strategy::Basic { crossover: Some(3) },
-        Strategy::Advanced {
+        ScheduleSpec::Basic { crossover: Some(3) },
+        ScheduleSpec::Advanced {
             alpha: 0.25,
             transfer_level: 4,
         },
     ]
 }
 
-fn run(strategy: &Strategy, n: usize) -> (RunReport, SimHpu) {
+fn run(strategy: &ScheduleSpec, n: usize) -> (RunReport, SimHpu) {
     let mut data: Vec<u32> = (0..n as u32)
         .map(|i| i.wrapping_mul(2654435761) ^ 0xBEEF)
         .collect();
@@ -124,8 +124,8 @@ fn makespan_bounds_hold_for_every_strategy() {
 #[test]
 fn hybrid_schedules_do_one_round_trip() {
     for strategy in [
-        Strategy::Basic { crossover: Some(3) },
-        Strategy::Advanced {
+        ScheduleSpec::Basic { crossover: Some(3) },
+        ScheduleSpec::Advanced {
             alpha: 0.25,
             transfer_level: 4,
         },
@@ -203,7 +203,7 @@ fn drift_report_covers_every_level() {
 
 #[test]
 fn sync_barriers_are_excluded_from_utilization() {
-    let (_, hpu) = run(&Strategy::Basic { crossover: Some(3) }, 1 << 10);
+    let (_, hpu) = run(&ScheduleSpec::Basic { crossover: Some(3) }, 1 << 10);
     let tl = hpu.timeline();
     // The basic schedule syncs after the download: the CPU waited, so a
     // Sync span exists and utilization < busy-window.

@@ -18,8 +18,8 @@ use crate::error::ModelError;
 use crate::params::MachineParams;
 use crate::recurrence::Recurrence;
 
-/// A schedule to compile: the model-side mirror of `hpu-core`'s `Strategy`,
-/// plus the fully model-derived [`ScheduleSpec::AdvancedAuto`].
+/// A work-division schedule to compile: the paper's five strategies plus
+/// the fully model-derived [`ScheduleSpec::AdvancedAuto`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleSpec {
     /// Everything on one CPU core.

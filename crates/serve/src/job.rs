@@ -4,17 +4,12 @@
 //! dyn-safe surface, so one queue can mix mergesort, sum and scan jobs.
 //! [`AlgoJob`] adapts any owned `(BfAlgorithm, data)` pair.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use hpu_core::exec::{
-    run_native, run_sim_plan, run_sim_plan_metered, run_sim_plan_recover, run_sim_plan_resume,
-    Checkpoint, RecoveryPolicy, RecoveryStats, RunReport,
-};
+use hpu_core::exec::{run_native, run_sim_plan, RecoveryPolicy, RecoveryStats, RunOpts, RunReport};
 use hpu_core::{bf::num_levels, BfAlgorithm, CoreError, Element, LevelPool};
 use hpu_machine::SimHpu;
 use hpu_model::{Plan, Recurrence};
-use hpu_obs::MetricsRegistry;
 
 /// A type-erased divide-and-conquer job.
 ///
@@ -33,21 +28,8 @@ pub trait Workload: Send {
     fn exec_levels(&self) -> Result<u32, CoreError>;
     /// Runs the job on a simulated machine under a compiled plan.
     fn run_plan(&mut self, hpu: &mut SimHpu, plan: &Plan) -> Result<RunReport, CoreError>;
-    /// Like [`Workload::run_plan`], sampling the interpreter's
-    /// per-segment timings into `metrics`. The default implementation
-    /// ignores the registry — implementors that can meter should
-    /// override it.
-    fn run_plan_metered(
-        &mut self,
-        hpu: &mut SimHpu,
-        plan: &Plan,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Result<RunReport, CoreError> {
-        let _ = metrics;
-        self.run_plan(hpu, plan)
-    }
     /// Like [`Workload::run_plan`], retrying faulted segments under
-    /// `policy` (see [`hpu_core::exec::interpret_recover`]); the recovery
+    /// `policy` (see [`hpu_core::exec::interpret`]); the recovery
     /// tallies come back even when the run fails.
     fn run_plan_recover(
         &mut self,
@@ -55,20 +37,23 @@ pub trait Workload: Send {
         plan: &Plan,
         policy: &RecoveryPolicy,
     ) -> (Result<RunReport, CoreError>, RecoveryStats);
-    /// Resumes the job from a level-boundary checkpoint under a compiled
-    /// plan (see [`hpu_core::exec::run_sim_plan_resume`]): the
-    /// checkpointed prefix is restored without charging machine time and
-    /// only the plan's remaining bands execute. The default ignores the
-    /// checkpoint and restarts from scratch — the correct fallback for
-    /// workloads that cannot replay state.
-    fn run_plan_resume(
+    /// Runs the job under a compiled plan with the retry policy, metrics
+    /// registry and checkpoint of `opts` (see
+    /// [`hpu_core::exec::run_sim_plan`]) — the one call the scheduler
+    /// makes. The default honours only `opts.recovery`, through
+    /// [`Workload::run_plan_recover`]: it samples no metrics and restarts
+    /// a checkpointed job from scratch, the correct fallback for workloads
+    /// that cannot replay state.
+    fn run_plan_with(
         &mut self,
         hpu: &mut SimHpu,
         plan: &Plan,
-        ckpt: &Checkpoint,
-    ) -> Result<RunReport, CoreError> {
-        let _ = ckpt;
-        self.run_plan(hpu, plan)
+        opts: &RunOpts,
+    ) -> (Result<RunReport, CoreError>, RecoveryStats) {
+        match &opts.recovery {
+            Some(policy) => self.run_plan_recover(hpu, plan, policy),
+            None => (self.run_plan(hpu, plan), RecoveryStats::default()),
+        }
     }
     /// Runs the job on real threads; returns the wall-clock time.
     fn run_native(&mut self, pool: &LevelPool) -> Result<Duration, CoreError>;
@@ -110,16 +95,7 @@ impl<T: Element, A: BfAlgorithm<T> + Send + 'static> Workload for AlgoJob<T, A> 
     }
 
     fn run_plan(&mut self, hpu: &mut SimHpu, plan: &Plan) -> Result<RunReport, CoreError> {
-        run_sim_plan(&self.algo, &mut self.data, hpu, plan)
-    }
-
-    fn run_plan_metered(
-        &mut self,
-        hpu: &mut SimHpu,
-        plan: &Plan,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Result<RunReport, CoreError> {
-        run_sim_plan_metered(&self.algo, &mut self.data, hpu, plan, Some(metrics))
+        self.run_plan_with(hpu, plan, &RunOpts::default()).0
     }
 
     fn run_plan_recover(
@@ -128,16 +104,20 @@ impl<T: Element, A: BfAlgorithm<T> + Send + 'static> Workload for AlgoJob<T, A> 
         plan: &Plan,
         policy: &RecoveryPolicy,
     ) -> (Result<RunReport, CoreError>, RecoveryStats) {
-        run_sim_plan_recover(&self.algo, &mut self.data, hpu, plan, policy)
+        let opts = RunOpts {
+            recovery: Some(*policy),
+            ..RunOpts::default()
+        };
+        self.run_plan_with(hpu, plan, &opts)
     }
 
-    fn run_plan_resume(
+    fn run_plan_with(
         &mut self,
         hpu: &mut SimHpu,
         plan: &Plan,
-        ckpt: &Checkpoint,
-    ) -> Result<RunReport, CoreError> {
-        run_sim_plan_resume(&self.algo, &mut self.data, hpu, plan, ckpt)
+        opts: &RunOpts,
+    ) -> (Result<RunReport, CoreError>, RecoveryStats) {
+        run_sim_plan(&self.algo, &mut self.data, hpu, plan, opts)
     }
 
     fn run_native(&mut self, pool: &LevelPool) -> Result<Duration, CoreError> {

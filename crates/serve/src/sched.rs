@@ -50,7 +50,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use hpu_core::exec::{Checkpoint, RecoveryPolicy, RunReport};
+use hpu_core::exec::{Checkpoint, RecoveryPolicy, RunOpts, RunReport};
 use hpu_core::CoreError;
 use hpu_machine::{
     FaultInjector, FaultPlan, MachineConfig, MachineError, SimHpu, SimMachineParams,
@@ -128,7 +128,7 @@ pub struct ServeConfig {
 /// Every segment boundary of a compiled plan is a consistent cut of the
 /// breadth-first execution — levels below it are completely done, levels
 /// above it untouched — so a checkpoint taken there resumes exactly (see
-/// [`hpu_core::exec::run_sim_plan_resume`]). The policy decides *which*
+/// [`RunOpts::resume`]). The policy decides *which*
 /// boundaries are worth the capture cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CheckpointPolicy {
@@ -489,6 +489,76 @@ impl Variant {
         let demand: f64 = self.demands.iter().map(|d| d.len()).sum();
         (self.report.virtual_time - demand).max(0.0)
     }
+
+    /// Folds a solo run's per-level metrics into per-segment device
+    /// demands plus the per-unit predicted-vs-observed evidence.
+    fn measure(
+        job_cfg: &MachineConfig,
+        plan: Arc<Plan>,
+        cost: &PlanCost,
+        params: &MachineParams,
+        report: RunReport,
+        retries: u32,
+    ) -> Variant {
+        let segs = plan.segments.len();
+        let mut cpu = vec![0.0; segs];
+        let mut gpu = vec![0.0; segs];
+        for row in &report.levels {
+            // `run_sim_plan` rejects empty plans before this point, so
+            // `segs >= 1`; the saturating clamp keeps the index total even if
+            // that invariant ever moves.
+            let si = row
+                .segment
+                .map(|s| s as usize)
+                .or_else(|| plan.segment_of(row.level).map(|(i, _)| i))
+                .unwrap_or(0)
+                .min(segs.saturating_sub(1));
+            cpu[si] += row.cpu_time;
+            // The bus is only ever driven for the device: transfers extend
+            // the segment's GPU lease.
+            gpu[si] += row.gpu_time + row.bus_time;
+        }
+        let demands = plan
+            .segments
+            .iter()
+            .enumerate()
+            .map(|(i, seg)| SegDemand {
+                kind: match seg.placement {
+                    Placement::Cpu { cores } => SegKind::Cpu { cores },
+                    Placement::Gpu => SegKind::Gpu,
+                    Placement::Split { .. } => SegKind::Split {
+                        cores: job_cfg.cpu.cores,
+                    },
+                },
+                cpu: cpu[i],
+                gpu: gpu[i],
+            })
+            .collect();
+        let mut obs = Observation {
+            observed_cpu: report.levels.iter().map(|r| r.cpu_time).sum(),
+            observed_gpu: report.levels.iter().map(|r| r.gpu_time).sum(),
+            observed_bus: report.levels.iter().map(|r| r.bus_time).sum(),
+            ..Observation::default()
+        };
+        set_predicted(&mut obs, &plan, cost, params);
+        // The fixed costs batching can amortize are properties of the *true*
+        // machine the demands were measured on — the bus latency actually
+        // paid per transfer edge and the launch overhead actually paid per
+        // level — never of the believed (assumed/calibrated) parameters.
+        let fixed = (0..plan.segments.len())
+            .map(|i| plan.segment_fixed_cost(i, job_cfg.bus.lambda, job_cfg.gpu.launch_overhead))
+            .collect();
+        Variant {
+            cost: cost.total,
+            plan,
+            demands,
+            report,
+            obs,
+            retries,
+            degraded: false,
+            fixed,
+        }
+    }
 }
 
 fn uses_gpu(v: &Variant) -> bool {
@@ -503,24 +573,19 @@ fn spec_wants_gpu(spec: &ScheduleSpec) -> bool {
     !matches!(spec, ScheduleSpec::Sequential | ScheduleSpec::CpuParallel)
 }
 
+/// The CPU-only shape GPU specs degrade to.
+const CPU_ONLY: ScheduleSpec = ScheduleSpec::CpuParallel;
+
 struct Queued {
-    id: u64,
-    name: String,
-    arrival: f64,
-    deadline: Option<f64>,
-    spec: ScheduleSpec,
-    workload: Box<dyn Workload>,
+    job: StolenJob,
     primary: Variant,
     fallback: Option<Variant>,
-    skips: usize,
     /// Calibration generation the job was last priced under.
     generation: u64,
-    /// The level-boundary checkpoint a recovered job resumes from; the
-    /// variants were priced on the resume suffix only.
-    checkpoint: Option<Checkpoint>,
 }
 
 /// Evidence of a dispatched job, released at its completion time.
+#[derive(Clone, Copy)]
 struct PendingObs {
     end: f64,
     job: u64,
@@ -563,15 +628,10 @@ const TICK_SEQ_BASE: u64 = 1 << 32;
 
 /// An accepted submission waiting for its arrival event to fire.
 struct Pending {
-    id: u64,
-    job: JobRequest,
-    /// Original fleet-time arrival of a migrated job, so its record and
-    /// latency span the fleet submission rather than the migration.
-    arrival_override: Option<f64>,
-    /// Starvation credit a migrated job earned before migration.
-    skips: usize,
-    /// Checkpoint a crash-recovered job resumes from.
-    checkpoint: Option<Checkpoint>,
+    job: StolenJob,
+    /// A migrated job's record and latency span its original fleet-time
+    /// `arrival`; a fresh submission's span its arrival event.
+    migrated: bool,
 }
 
 /// A queued job removed from one node's scheduler for migration to
@@ -580,7 +640,8 @@ struct Pending {
 /// Carries the *originally requested* schedule spec — not any degraded
 /// CPU-only shape — so a healthy receiving node compiles the full hybrid
 /// plan again, and the original arrival time, so latency keeps spanning
-/// the fleet-level submission.
+/// the fleet-level submission. The scheduler holds every job in this
+/// form — pending, queued and running — so migration moves it whole.
 pub struct StolenJob {
     /// Fleet-assigned job id.
     pub id: u64,
@@ -621,13 +682,9 @@ pub struct CrashReport {
 /// node crash can tell finished work from lost work — and recover the
 /// lost jobs from their last level-boundary checkpoint.
 struct RunningJob {
-    id: u64,
-    name: String,
-    spec: ScheduleSpec,
-    arrival: f64,
-    deadline: Option<f64>,
-    skips: usize,
-    workload: Box<dyn Workload>,
+    /// The job as dispatched; its checkpoint is the one it resumed from,
+    /// if any — a second crash resumes from at least there.
+    job: StolenJob,
     /// Last reservation end: the completion time its record claims.
     end: f64,
     /// Admitted checkpoint boundaries `(time, resume_level)`, ascending;
@@ -635,9 +692,6 @@ struct RunningJob {
     boundaries: Vec<(f64, u32)>,
     /// Boundaries already counted into the `recovery.checkpoints` metric.
     next_boundary: usize,
-    /// The checkpoint the job was dispatched from, if it was itself a
-    /// resumed job — a second crash resumes from at least here.
-    prior_ckpt: Option<Checkpoint>,
     /// Calendar entries to hand back if the node crashes mid-run (empty
     /// for batch members: a merged lease is not reclaimed per member).
     resvs: Vec<Resv>,
@@ -659,6 +713,202 @@ pub struct QueuedShape {
     pub levels: u32,
 }
 
+/// One job shape's pricing inputs under the node's current beliefs.
+struct Inputs {
+    params: MachineParams,
+    rec: Recurrence,
+    n: u64,
+    levels: u32,
+}
+
+/// Everything pricing a job reads or updates: the per-job machine slice,
+/// the believed parameters and their calibration, the GPU circuit
+/// breaker, the plan cache and the metrics registry. Admission, replans,
+/// breaker degradation and router probes all price through it.
+struct Pricer {
+    job_cfg: MachineConfig,
+    assumed: Option<MachineParams>,
+    calibrator: Option<Calibrator>,
+    faults: Option<FaultState>,
+    cache: Option<PlanCache>,
+    metrics: Option<Arc<MetricsRegistry>>,
+}
+
+impl Pricer {
+    /// The parameters jobs are priced and compiled with: the configured or
+    /// assumed machine, under the current calibration corrections. The CPU
+    /// core count always follows the per-job machine slice — calibration
+    /// corrects speeds and costs, never the structure.
+    fn params(&self) -> Result<MachineParams, CalibrationError> {
+        let mut params = self
+            .assumed
+            .clone()
+            .unwrap_or_else(|| MachineParams::from_config(&self.job_cfg));
+        params.p = self.job_cfg.cpu.cores;
+        match &self.calibrator {
+            Some(c) => params.recalibrated(c.calibration()),
+            None => Ok(params),
+        }
+    }
+
+    /// `rec` under the current calibration corrections.
+    fn scaled(&self, rec: &Recurrence) -> Recurrence {
+        match &self.calibrator {
+            Some(c) => c.calibration().scale_recurrence(rec),
+            None => rec.clone(),
+        }
+    }
+
+    /// The pricing inputs of job `id`'s workload.
+    fn job_inputs(&self, id: u64, workload: &dyn Workload) -> Result<Inputs, ServeError> {
+        let params = self.params().map_err(|source| ServeError::Calibration {
+            job: Some(id),
+            source,
+        })?;
+        let levels = workload
+            .exec_levels()
+            .map_err(|source| ServeError::Run { job: id, source })?;
+        Ok(Inputs {
+            params,
+            rec: self.scaled(&workload.recurrence()),
+            n: workload.input_len() as u64,
+            levels,
+        })
+    }
+
+    fn breaker_open(&self) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.open)
+    }
+
+    /// Folds one GPU-using solo execution into the breaker, if faults are
+    /// being injected at all.
+    fn on_gpu_result(&mut self, failed: bool, lost: bool) {
+        if let Some(f) = self.faults.as_mut() {
+            f.on_gpu_result(failed, lost);
+        }
+    }
+
+    /// Compiles and prices `spec`: a [`PlanCache`] lookup when a cache is
+    /// attached, a fresh [`compile`] (timed through [`compile_timed`]
+    /// when metered) plus [`plan_cost`] otherwise.
+    fn compile(
+        &mut self,
+        spec: &ScheduleSpec,
+        inp: &Inputs,
+    ) -> Result<(Arc<Plan>, Arc<PlanCost>), VariantError> {
+        let Inputs {
+            params,
+            rec,
+            n,
+            levels,
+        } = inp;
+        if let Some(c) = self.cache.as_mut() {
+            return c
+                .lookup_or_compile(spec, params, rec, *n, *levels, self.metrics.as_deref())
+                .map_err(VariantError::Compile);
+        }
+        let plan = match &self.metrics {
+            Some(m) => compile_timed(spec, params, rec, *n, *levels, m),
+            None => compile(spec, params, rec, *n, *levels),
+        }
+        .map_err(VariantError::Compile)?;
+        let profile = LevelProfile::new(params, rec, *n);
+        let cost = plan_cost(&profile, &plan).map_err(VariantError::Compile)?;
+        Ok((Arc::new(plan), Arc::new(cost)))
+    }
+
+    /// Compiles `spec`, prices it, and solo-runs it on a private virtual
+    /// clock of the true machine to measure its demands and calibration
+    /// evidence. `faulty` attaches the fault injector and the recovery
+    /// policy — to GPU plans only: CPU-only plans never touch the device,
+    /// so they are structurally immune to injected faults.
+    ///
+    /// With `ckpt` the job resumes: the **full** plan still compiles
+    /// through the cache (sharing compiles with fresh admissions of the
+    /// same shape), then is clipped to the checkpoint's resume suffix,
+    /// priced alone and resumed, so the measured demands and cost cover
+    /// only the work still owed.
+    fn build_variant(
+        &mut self,
+        workload: &mut dyn Workload,
+        spec: &ScheduleSpec,
+        inp: &Inputs,
+        faulty: bool,
+        ckpt: Option<&Checkpoint>,
+    ) -> Result<Variant, VariantError> {
+        let (mut plan, mut cost) = self.compile(spec, inp)?;
+        if let Some(ck) = ckpt {
+            let suffix = plan
+                .resume_from_level(ck.level)
+                .map_err(VariantError::Compile)?;
+            let profile = LevelProfile::new(&inp.params, &inp.rec, inp.n);
+            cost = Arc::new(plan_cost(&profile, &suffix).map_err(VariantError::Compile)?);
+            plan = Arc::new(suffix);
+        }
+        let faults = self.faults.as_ref().filter(|_| faulty && plan.uses_gpu());
+        let mut hpu = SimHpu::new(self.job_cfg.clone());
+        if let Some(f) = faults {
+            hpu = hpu.with_faults(f.injector.clone());
+        }
+        let opts = RunOpts {
+            recovery: faults.map(|f| f.recovery),
+            metrics: self.metrics.clone(),
+            resume: ckpt.copied(),
+        };
+        let (result, rstats) = workload.run_plan_with(&mut hpu, &plan, &opts);
+        let retries = rstats.retries;
+        match result {
+            Ok(report) => Ok(Variant::measure(
+                &self.job_cfg,
+                plan,
+                &cost,
+                &inp.params,
+                report,
+                retries,
+            )),
+            Err(source) => Err(VariantError::Run { source, retries }),
+        }
+    }
+
+    /// The lazy replan path: when `q`'s spec recompiles (through the
+    /// cache) to the plan it was measured under, re-prices it in place —
+    /// its fallback too, re-measuring that only if its plan changed — and
+    /// returns `true`. `false` leaves `q` untouched for a full re-measure.
+    fn reprice_unchanged(&mut self, q: &mut Queued, inp: &Inputs) -> bool {
+        match self.compile(&q.job.spec, inp) {
+            Ok((plan, cost)) if *plan == *q.primary.plan => {
+                reprice(&mut q.primary, plan, &cost, &inp.params)
+            }
+            _ => return false,
+        }
+        if let Some(fb) = q.fallback.as_mut() {
+            match self.compile(&CPU_ONLY, inp) {
+                Ok((fp, fc)) if *fp == *fb.plan => reprice(fb, fp, &fc, &inp.params),
+                _ => {
+                    q.fallback = self
+                        .build_variant(q.job.workload.as_mut(), &CPU_ONLY, inp, false, None)
+                        .ok()
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The granted reservations of one dispatched job.
+struct Grant {
+    /// First granted window start (the dispatch time if none).
+    start: f64,
+    /// Last granted window end: the completion time the record claims.
+    end: f64,
+    /// The granted `(start, end)` window of each demand — aligned index
+    /// for index with the variant's demands, zero-length demands getting
+    /// the empty window `(t, t)`.
+    windows: Vec<(f64, f64)>,
+    /// Every calendar entry made, for release on cancellation or crash.
+    resvs: Vec<Resv>,
+}
+
 /// The resumable form of [`serve_sim`]: one node's scheduler driven one
 /// event at a time, with jobs submitted incrementally and queued jobs
 /// stealable at event boundaries.
@@ -668,19 +918,16 @@ pub struct QueuedShape {
 /// bit-for-bit identical to [`serve_sim`] — same records, same leases,
 /// same event interleaving.
 pub struct NodeSim {
-    job_cfg: MachineConfig,
     serve: ServeConfig,
+    pricer: Pricer,
     arb: DeviceArbiter,
     queue: Vec<Queued>,
     records: Vec<JobRecord>,
     runs: Vec<JobRun>,
     errors: Vec<ServeError>,
-    calibrator: Option<Calibrator>,
     pending: Vec<PendingObs>,
     replans: u64,
-    fault_state: Option<FaultState>,
     spans: SpanSet,
-    plan_cache: Option<PlanCache>,
     batches: Vec<BatchRecord>,
     heap: EventHeap,
     arrival_seq: u64,
@@ -703,32 +950,28 @@ impl NodeSim {
         if let Some(k) = serve.cores_per_job {
             job_cfg.cpu.cores = k.clamp(1, cfg.cpu.cores);
         }
-        let calibrator = match &serve.calibration {
-            Some(c) => match Calibrator::new(c.clone()) {
-                Ok(cal) => Some(cal),
-                Err(e) => {
-                    errors.push(ServeError::Calibration {
-                        job: None,
-                        source: e,
-                    });
-                    None
-                }
-            },
-            None => None,
-        };
+        let calibrator = serve.calibration.as_ref().and_then(|c| {
+            Calibrator::new(c.clone())
+                .map_err(|source| errors.push(ServeError::Calibration { job: None, source }))
+                .ok()
+        });
         NodeSim {
             arb: DeviceArbiter::new(cfg.cpu.cores),
-            job_cfg,
+            pricer: Pricer {
+                job_cfg,
+                assumed: serve.assumed.clone(),
+                calibrator,
+                faults: serve.faults.as_ref().map(FaultState::new),
+                cache: serve.plan_cache.map(PlanCache::new),
+                metrics: serve.metrics.clone(),
+            },
             queue: Vec::new(),
             records: Vec::new(),
             runs: Vec::new(),
             errors,
-            calibrator,
             pending: Vec::new(),
             replans: 0,
-            fault_state: serve.faults.as_ref().map(FaultState::new),
             spans: SpanSet::new(),
-            plan_cache: serve.plan_cache.map(PlanCache::new),
             batches: Vec::new(),
             heap: BinaryHeap::new(),
             arrival_seq: 0,
@@ -744,17 +987,17 @@ impl NodeSim {
     /// Submission order is the arrival tie-break at equal arrival times.
     pub fn submit(&mut self, id: u64, job: JobRequest) {
         let at = job.arrival.max(0.0);
-        let slot = self.slots.len();
-        self.heap
-            .push(Reverse((Time(at), self.arrival_seq, Ev::Arrive(slot))));
-        self.arrival_seq += 1;
-        self.slots.push(Some(Pending {
+        let job = StolenJob {
             id,
-            job,
-            arrival_override: None,
+            name: job.name,
+            spec: job.spec,
+            arrival: job.arrival,
+            deadline: job.deadline,
             skips: 0,
             checkpoint: None,
-        }));
+            workload: job.workload,
+        };
+        self.schedule_arrival(at, job, false);
     }
 
     /// Re-submits a job stolen from another node, arriving here at `now`
@@ -764,23 +1007,15 @@ impl NodeSim {
     /// record keeps the original fleet-time arrival.
     pub fn inject(&mut self, stolen: StolenJob, now: f64) {
         let at = now.max(self.now).max(0.0);
+        self.schedule_arrival(at, stolen, true);
+    }
+
+    fn schedule_arrival(&mut self, at: f64, job: StolenJob, migrated: bool) {
         let slot = self.slots.len();
         self.heap
             .push(Reverse((Time(at), self.arrival_seq, Ev::Arrive(slot))));
         self.arrival_seq += 1;
-        self.slots.push(Some(Pending {
-            id: stolen.id,
-            job: JobRequest {
-                name: stolen.name,
-                spec: stolen.spec,
-                arrival: at,
-                deadline: stolen.deadline,
-                workload: stolen.workload,
-            },
-            arrival_override: Some(stolen.arrival),
-            skips: stolen.skips,
-            checkpoint: stolen.checkpoint,
-        }));
+        self.slots.push(Some(Pending { job, migrated }));
     }
 
     /// Virtual time of the next unprocessed event, if any.
@@ -816,110 +1051,33 @@ impl NodeSim {
             }
         }
         self.running.retain(|r| r.end > now + EPS);
-        // Fold the evidence of every job that has completed by now; a
-        // large enough drift triggers a re-price of the queue.
-        if let Some(cal) = self.calibrator.as_mut() {
-            let mut ready: Vec<PendingObs> = Vec::new();
-            self.pending.retain_mut(|p| {
-                if p.end <= now + EPS {
-                    ready.push(PendingObs {
-                        end: p.end,
-                        job: p.job,
-                        obs: p.obs,
-                        drift: p.drift,
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
-            ready.sort_by(|a, b| a.end.total_cmp(&b.end).then(a.job.cmp(&b.job)));
-            let mut trigger = false;
-            for p in &ready {
-                if let Some(m) = &self.serve.metrics {
-                    m.observe("calibration.abs_drift", p.drift.abs());
-                }
-                if let Err(e) = cal.observe(&p.obs) {
-                    self.errors.push(ServeError::Calibration {
-                        job: Some(p.job),
-                        source: e,
-                    });
-                }
-                trigger |= cal.should_replan(p.drift);
+        if self.drain_evidence() {
+            self.replans += 1;
+            if let Some(m) = &self.serve.metrics {
+                m.inc("serve.replans", 1);
+                m.set_gauge("calibration.generation", self.replans as f64);
             }
-            if trigger {
-                self.replans += 1;
-                if let Some(m) = &self.serve.metrics {
-                    m.inc("serve.replans", 1);
-                    m.set_gauge("calibration.generation", self.replans as f64);
-                }
-                replan(
-                    &mut self.queue,
-                    &self.job_cfg,
-                    &self.serve,
-                    cal.calibration(),
-                    self.replans,
-                    &mut self.errors,
-                    self.fault_state.as_mut(),
-                    self.plan_cache.as_mut(),
-                );
-            }
+            self.replan();
         }
         if let Ev::Arrive(i) = ev {
             // Poison-free by construction: each arrival event fires once,
             // but a double fire must not panic the scheduler.
             if let Some(p) = self.slots[i].take() {
-                let arrival = p.arrival_override.unwrap_or(now);
-                admit(
-                    p.id,
-                    p.job,
-                    now,
-                    arrival,
-                    p.skips,
-                    p.checkpoint,
-                    &self.job_cfg,
-                    &self.serve,
-                    &mut self.queue,
-                    &mut self.records,
-                    &mut self.errors,
-                    self.calibrator.as_ref().map(|c| c.calibration()),
-                    self.replans,
-                    self.fault_state.as_mut(),
-                    self.plan_cache.as_mut(),
-                );
+                self.admit(p);
             }
         }
         // A breaker trip during admission or replanning degrades every
         // still-queued GPU job to its CPU-only shape before dispatch —
         // the device is off limits until (in this model) forever.
-        if let Some(f) = self.fault_state.as_mut() {
-            if f.take_pending_trip() {
-                degrade_queue(
-                    &mut self.queue,
-                    &self.job_cfg,
-                    &self.serve,
-                    self.calibrator.as_ref().map(|c| c.calibration()),
-                    &mut self.errors,
-                    self.plan_cache.as_mut(),
-                );
-            }
+        if self
+            .pricer
+            .faults
+            .as_mut()
+            .is_some_and(FaultState::take_pending_trip)
+        {
+            self.degrade_queue();
         }
-        dispatch_all(
-            now,
-            &self.serve,
-            &mut self.arb,
-            &mut self.queue,
-            &mut self.records,
-            &mut self.runs,
-            &mut self.errors,
-            &mut self.heap,
-            &mut self.tick_seq,
-            self.calibrator.is_some().then_some(&mut self.pending),
-            self.fault_state.is_some(),
-            &mut self.spans,
-            &mut self.batches,
-            &mut self.running,
-        );
+        self.dispatch();
         if let Some(m) = &self.serve.metrics {
             m.set_gauge("serve.queue_depth", self.queue.len() as f64);
         }
@@ -946,10 +1104,10 @@ impl NodeSim {
             m.set_gauge("serve.makespan", self.arb.makespan());
         }
         let mut report = ServeReport::new(self.records, self.arb.cpu_busy(), self.arb.gpu_busy());
-        if let Some(f) = &self.fault_state {
+        if let Some(f) = &self.pricer.faults {
             report = report.with_fault_counts(f.fault_events(), f.trips);
         }
-        let cache_stats = self.plan_cache.as_ref().map(|c| c.stats());
+        let cache_stats = self.pricer.cache.as_ref().map(|c| c.stats());
         if let Some(s) = cache_stats {
             report = report.with_plan_cache(s.hits, s.misses);
         }
@@ -961,7 +1119,7 @@ impl NodeSim {
             cpu_reservations: self.arb.cpu_reservations().to_vec(),
             replans: self.replans,
             plan_cache: cache_stats,
-            calibration: self.calibrator.map(|c| c.calibration().clone()),
+            calibration: self.pricer.calibrator.map(|c| c.calibration().clone()),
             spans: self.spans.into_events(),
             batches: self.batches,
         }
@@ -1033,12 +1191,12 @@ impl NodeSim {
     /// Whether the GPU circuit breaker is open (the device is off limits
     /// and GPU jobs compile straight to their CPU-only degradation).
     pub fn breaker_open(&self) -> bool {
-        self.fault_state.as_ref().is_some_and(|f| f.open)
+        self.pricer.breaker_open()
     }
 
     /// Times the GPU circuit breaker has tripped.
     pub fn breaker_trips(&self) -> u64 {
-        self.fault_state.as_ref().map_or(0, |f| f.trips)
+        self.pricer.faults.as_ref().map_or(0, |f| f.trips)
     }
 
     /// Drift-triggered calibration replans performed so far — this node's
@@ -1049,12 +1207,24 @@ impl NodeSim {
 
     /// Current plan-cache generation, when caching is on.
     pub fn cache_generation(&self) -> Option<u64> {
-        self.plan_cache.as_ref().map(|c| c.generation())
+        self.pricer.cache.as_ref().map(|c| c.generation())
     }
 
     /// Ids of every queued job, queue order.
     pub fn queued_ids(&self) -> Vec<u64> {
-        self.queue.iter().map(|q| q.id).collect()
+        self.queue.iter().map(|q| q.job.id).collect()
+    }
+
+    /// The queue as the dispatch policy ranks it, queue order.
+    fn ranks(&self) -> Vec<Rank> {
+        self.queue
+            .iter()
+            .map(|q| Rank {
+                seq: q.job.id,
+                cost: q.primary.cost,
+                skips: q.job.skips,
+            })
+            .collect()
     }
 
     /// Ids of the queued jobs a thief may take, lowest dispatch priority
@@ -1063,22 +1233,13 @@ impl NodeSim {
     /// to run next — stealing it would re-order what the policy already
     /// guaranteed.
     pub fn steal_candidates(&self) -> Vec<u64> {
-        let ranks: Vec<Rank> = self
-            .queue
-            .iter()
-            .map(|q| Rank {
-                seq: q.id,
-                cost: q.primary.cost,
-                skips: q.skips,
-            })
-            .collect();
-        let (order, rigid) = dispatch_order(&self.serve.policy, &ranks);
+        let (order, rigid) = dispatch_order(&self.serve.policy, &self.ranks());
         order
             .get(rigid..)
             .unwrap_or(&[])
             .iter()
             .rev()
-            .map(|&qi| self.queue[qi].id)
+            .map(|&qi| self.queue[qi].job.id)
             .collect()
     }
 
@@ -1086,7 +1247,7 @@ impl NodeSim {
     /// price under its own beliefs. `None` if the job is gone (or its
     /// level count no longer computes).
     pub fn queued_shape(&self, id: u64) -> Option<QueuedShape> {
-        let q = self.queue.iter().find(|q| q.id == id)?;
+        let q = &self.queue.iter().find(|q| q.job.id == id)?.job;
         Some(QueuedShape {
             spec: q.spec.clone(),
             rec: q.workload.recurrence(),
@@ -1100,32 +1261,25 @@ impl NodeSim {
     /// job) checkpoint; its compiled variants stay behind (the receiving
     /// node re-prices from scratch).
     pub fn steal(&mut self, id: u64) -> Option<StolenJob> {
-        let qi = self.queue.iter().position(|q| q.id == id)?;
-        let q = self.queue.remove(qi);
+        let qi = self.queue.iter().position(|q| q.job.id == id)?;
         if let Some(m) = &self.serve.metrics {
             m.inc("serve.stolen", 1);
         }
-        Some(StolenJob {
-            id: q.id,
-            name: q.name,
-            spec: q.spec,
-            arrival: q.arrival,
-            deadline: q.deadline,
-            skips: q.skips,
-            checkpoint: q.checkpoint,
-            workload: q.workload,
-        })
+        Some(self.queue.remove(qi).job)
     }
 
     /// Starvation credit of the queued job `id`, if it is queued here.
     pub fn queued_skips(&self, id: u64) -> Option<usize> {
-        self.queue.iter().find(|q| q.id == id).map(|q| q.skips)
+        self.queue
+            .iter()
+            .find(|q| q.job.id == id)
+            .map(|q| q.job.skips)
     }
 
     /// Ids of the dispatched jobs whose completion is still ahead of the
     /// node's clock — what [`NodeSim::crash`] would lose right now.
     pub fn running_ids(&self) -> Vec<u64> {
-        self.running.iter().map(|r| r.id).collect()
+        self.running.iter().map(|r| r.job.id).collect()
     }
 
     /// Kills the node at time `at`: every queued, not-yet-arrived and
@@ -1142,35 +1296,15 @@ impl NodeSim {
     /// survived.
     pub fn crash(&mut self, at: f64) -> CrashReport {
         self.now = self.now.max(at);
-        let mut queued: Vec<StolenJob> = Vec::new();
-        for q in self.queue.drain(..) {
-            queued.push(StolenJob {
-                id: q.id,
-                name: q.name,
-                spec: q.spec,
-                arrival: q.arrival,
-                deadline: q.deadline,
-                skips: q.skips,
-                checkpoint: q.checkpoint,
-                workload: q.workload,
-            });
-        }
+        let mut queued: Vec<StolenJob> = self.queue.drain(..).map(|q| q.job).collect();
         // Submissions whose arrival event had not fired yet die with the
         // event heap; they lose nothing but their place in time.
-        for slot in self.slots.iter_mut() {
-            if let Some(p) = slot.take() {
-                queued.push(StolenJob {
-                    id: p.id,
-                    name: p.job.name,
-                    spec: p.job.spec,
-                    arrival: p.arrival_override.unwrap_or(p.job.arrival),
-                    deadline: p.job.deadline,
-                    skips: p.skips,
-                    checkpoint: p.checkpoint,
-                    workload: p.job.workload,
-                });
-            }
-        }
+        queued.extend(
+            self.slots
+                .iter_mut()
+                .filter_map(Option::take)
+                .map(|p| p.job),
+        );
         self.heap.clear();
         let mut in_flight: Vec<StolenJob> = Vec::new();
         let mut lost: Vec<u64> = Vec::new();
@@ -1178,29 +1312,17 @@ impl NodeSim {
             if r.end <= at + EPS {
                 continue; // finished before the crash — its record stands
             }
-            lost.push(r.id);
+            lost.push(r.job.id);
             release_all(&mut self.arb, &r.resvs);
-            let checkpoint = r
-                .boundaries
-                .iter()
-                .rev()
-                .find(|&&(t, _)| t <= at + EPS)
-                .map(|&(_, level)| Checkpoint {
+            let mut job = r.job;
+            if let Some(&(_, level)) = r.boundaries.iter().rev().find(|&&(t, _)| t <= at + EPS) {
+                job.checkpoint = Some(Checkpoint {
                     level,
                     resident_words: r.words,
                     generation: self.replans,
-                })
-                .or(r.prior_ckpt);
-            in_flight.push(StolenJob {
-                id: r.id,
-                name: r.name,
-                spec: r.spec,
-                arrival: r.arrival,
-                deadline: r.deadline,
-                skips: r.skips,
-                checkpoint,
-                workload: r.workload,
-            });
+                });
+            }
+            in_flight.push(job);
         }
         self.records.retain(|rec| {
             !(matches!(rec.outcome, JobOutcome::Completed) && lost.contains(&rec.id))
@@ -1218,7 +1340,7 @@ impl NodeSim {
     /// breaker state survive — the crash lost the machine, not the ledger.
     pub fn rejoin(&mut self, now: f64) {
         self.now = self.now.max(now);
-        if let Some(c) = self.plan_cache.as_mut() {
+        if let Some(c) = self.pricer.cache.as_mut() {
             c.bump_generation();
         }
         self.replans += 1;
@@ -1234,41 +1356,735 @@ impl NodeSim {
     /// attached, so repeated router probes of hot shapes are lookups.
     /// `None` when the shape fails to compile.
     pub fn price(&mut self, shape: &QueuedShape) -> Option<f64> {
-        let cal = self.calibrator.as_ref().map(|c| c.calibration());
-        let params = pricing_params(&self.job_cfg, &self.serve, cal).ok()?;
-        let rec = match cal {
-            Some(c) => c.scale_recurrence(&shape.rec),
-            None => shape.rec.clone(),
+        let inp = Inputs {
+            params: self.pricer.params().ok()?,
+            rec: self.pricer.scaled(&shape.rec),
+            n: shape.n,
+            levels: shape.levels,
         };
-        let cpu_only = ScheduleSpec::CpuParallel;
-        let breaker_open = self.fault_state.as_ref().is_some_and(|f| f.open);
-        let spec = if breaker_open && spec_wants_gpu(&shape.spec) {
-            &cpu_only
+        let spec = if self.pricer.breaker_open() && spec_wants_gpu(&shape.spec) {
+            &CPU_ONLY
         } else {
             &shape.spec
         };
-        compile_through(
-            spec,
-            &params,
-            &rec,
-            shape.n,
-            shape.levels,
-            self.serve.metrics.as_ref(),
-            self.plan_cache.as_mut(),
-        )
-        .ok()
-        .map(|(_, cost)| cost.total)
+        let (_, cost) = self.pricer.compile(spec, &inp).ok()?;
+        Some(cost.total)
     }
 
     /// This node's believed host↔device transfer time for `words` words,
     /// under current calibration — the router's data-affinity discount:
     /// what routing a non-resident input here would cost.
     pub fn believed_transfer_time(&self, words: u64) -> f64 {
-        let cal = self.calibrator.as_ref().map(|c| c.calibration());
-        match pricing_params(&self.job_cfg, &self.serve, cal) {
+        match self.pricer.params() {
             Ok(p) => p.transfer_time(words),
-            Err(_) => MachineParams::from_config(&self.job_cfg).transfer_time(words),
+            Err(_) => MachineParams::from_config(&self.pricer.job_cfg).transfer_time(words),
         }
+    }
+
+    // --- Admission and re-pricing -----------------------------------------
+
+    /// Records job `job`'s rejection at the current event.
+    fn reject(&mut self, job: &StolenJob, outcome: JobOutcome) {
+        if let Some(m) = &self.serve.metrics {
+            match outcome {
+                JobOutcome::QueueFull => m.inc("serve.rejected", 1),
+                JobOutcome::Failed { .. } => m.inc("serve.failed", 1),
+                _ => {}
+            }
+        }
+        let retries = match outcome {
+            JobOutcome::Failed { retries, .. } => retries,
+            _ => 0,
+        };
+        self.records.push(JobRecord {
+            id: job.id,
+            name: job.name.clone(),
+            outcome,
+            arrival: self.now,
+            start: self.now,
+            end: self.now,
+            predicted: 0.0,
+            service: 0.0,
+            fallback: false,
+            retries,
+            degraded: false,
+            calibration_generation: self.replans,
+        });
+    }
+
+    /// Admits one arrival: price, compile, solo-measure, queue. A
+    /// migrated job's record (and latency) spans from its original
+    /// fleet-time submission and keeps its earned starvation credit; a
+    /// checkpoint makes this a crash recovery that resumes from a
+    /// level-boundary checkpoint.
+    fn admit(&mut self, p: Pending) {
+        let mut job = p.job;
+        if !p.migrated {
+            job.arrival = self.now;
+        }
+        let ckpt = job.checkpoint.take();
+        let generation = self.replans;
+        if let Some(m) = &self.serve.metrics {
+            m.inc("serve.submitted", 1);
+        }
+        if self.queue.len() >= self.serve.queue_capacity {
+            self.errors.push(ServeError::QueueFull {
+                job: job.id,
+                capacity: self.serve.queue_capacity,
+            });
+            self.reject(&job, JobOutcome::QueueFull);
+            return;
+        }
+
+        let failed = |fault: FaultTag, retries: u32| JobOutcome::Failed { fault, retries };
+
+        let inp = match self.pricer.job_inputs(job.id, job.workload.as_ref()) {
+            Ok(inp) => inp,
+            Err(e) => {
+                self.errors.push(e);
+                self.reject(&job, failed(FaultTag::Error, 0));
+                return;
+            }
+        };
+        // With the breaker open the device is off limits: GPU specs compile
+        // straight to their CPU-only degradation, counted as degraded.
+        let breaker_open = self.pricer.breaker_open();
+        let spec = if breaker_open { &CPU_ONLY } else { &job.spec };
+        // A crash-recovered job resumes from its checkpoint: the full plan
+        // compiles (cache-shared with fresh admissions of the same shape) but
+        // only the remaining suffix is priced, measured and reserved. The
+        // fault injector is bypassed — a resume replays saved state rather
+        // than driving fresh traffic through the injector's deterministic
+        // stream — and no CPU-only fallback is compiled (a fallback would
+        // re-run from scratch, forfeiting the saved levels). If the resume
+        // shape fails to build, fall through to a normal restart admission.
+        if let Some(ck) = ckpt.filter(|c| c.level > 0) {
+            let resumed =
+                self.pricer
+                    .build_variant(job.workload.as_mut(), spec, &inp, false, Some(&ck));
+            match resumed {
+                Ok(primary) => {
+                    if let Some(m) = &self.serve.metrics {
+                        m.inc("recovery.resumed", 1);
+                    }
+                    job.checkpoint = Some(ck);
+                    self.queue.push(Queued {
+                        job,
+                        primary,
+                        fallback: None,
+                        generation,
+                    });
+                    return;
+                }
+                Err(e) => self.errors.push(e.into_serve(job.id)),
+            }
+        }
+        let primary = match self
+            .pricer
+            .build_variant(job.workload.as_mut(), spec, &inp, true, None)
+        {
+            Ok(mut v) => {
+                if uses_gpu(&v) {
+                    self.pricer.on_gpu_result(false, false);
+                } else if breaker_open && spec_wants_gpu(&job.spec) {
+                    v.degraded = true;
+                }
+                v
+            }
+            Err(e) => {
+                // A device fault that survived the retry budget: feed the
+                // breaker, then re-compile this job segment-granularly to its
+                // CPU-only shape instead of failing it.
+                let retries = e.retries();
+                let Some(m) = e.machine_fault().cloned() else {
+                    self.errors.push(e.into_serve(job.id));
+                    self.reject(&job, failed(FaultTag::Error, retries));
+                    return;
+                };
+                self.pricer
+                    .on_gpu_result(true, matches!(m, MachineError::DeviceLost));
+                self.errors.push(e.into_serve(job.id));
+                match self
+                    .pricer
+                    .build_variant(job.workload.as_mut(), &CPU_ONLY, &inp, false, None)
+                {
+                    Ok(mut v) => {
+                        v.degraded = true;
+                        v.retries = retries;
+                        v
+                    }
+                    Err(e2) => {
+                        self.errors.push(e2.into_serve(job.id));
+                        self.reject(&job, failed(tag_of(&m), retries));
+                        return;
+                    }
+                }
+            }
+        };
+        // A GPU-using job also carries its CPU-only shape, so dispatch can
+        // route around a contended device lease.
+        let fallback = if self.serve.cpu_fallback && uses_gpu(&primary) {
+            self.pricer
+                .build_variant(job.workload.as_mut(), &CPU_ONLY, &inp, false, None)
+                .ok()
+        } else {
+            None
+        };
+        self.queue.push(Queued {
+            job,
+            primary,
+            fallback,
+            generation,
+        });
+    }
+
+    /// Folds the evidence of every job that has completed by now into the
+    /// calibrator, in completion order. Returns whether a completed job's
+    /// drift warrants re-pricing the queue.
+    fn drain_evidence(&mut self) -> bool {
+        let Some(cal) = self.pricer.calibrator.as_mut() else {
+            return false;
+        };
+        let now = self.now;
+        let mut ready: Vec<PendingObs> = Vec::new();
+        self.pending.retain(|p| {
+            let due = p.end <= now + EPS;
+            if due {
+                ready.push(*p);
+            }
+            !due
+        });
+        ready.sort_by(|a, b| a.end.total_cmp(&b.end).then(a.job.cmp(&b.job)));
+        let mut trigger = false;
+        for p in &ready {
+            if let Some(m) = &self.serve.metrics {
+                m.observe("calibration.abs_drift", p.drift.abs());
+            }
+            if let Err(e) = cal.observe(&p.obs) {
+                self.errors.push(ServeError::Calibration {
+                    job: Some(p.job),
+                    source: e,
+                });
+            }
+            trigger |= cal.should_replan(p.drift);
+        }
+        trigger
+    }
+
+    /// Re-prices every still-queued job under the corrected parameters. A
+    /// job whose re-pricing fails keeps its previous variants — replanning
+    /// improves estimates, it must never kill a job.
+    ///
+    /// With a [`PlanCache`] attached (and no fault injection in play), a
+    /// replan is a generation bump plus lazy re-fill: each queued job's spec
+    /// recompiles through the cache — shared shapes compile once — and a job
+    /// whose plan came out *identical* merely re-prices in place, skipping
+    /// the redundant solo run (its measured demands replay the true machine,
+    /// which calibration never changes). Only jobs whose plan structurally
+    /// changed under the corrected parameters re-measure.
+    ///
+    /// With the GPU circuit breaker open, GPU specs re-compile straight to
+    /// their CPU-only degradation: a replan racing a breaker trip must not
+    /// compile (and solo-run) the doomed GPU shape a second time. Only jobs
+    /// still in the queue are touched — a cancelled or dispatched job is
+    /// already gone and can never be re-admitted by a replan.
+    fn replan(&mut self) {
+        let generation = self.replans;
+        if let Some(c) = self.pricer.cache.as_mut() {
+            c.bump_generation();
+        }
+        let breaker_open = self.pricer.breaker_open();
+        // Fault injection forces the full re-measure so the injector's
+        // event stream (fed by solo runs) stays exactly as before; with no
+        // injector the breaker is closed and every spec is the job's own.
+        let lazy = self.pricer.faults.is_none() && self.pricer.cache.is_some();
+        for q in self.queue.iter_mut() {
+            // A crash-recovered job's variants cover only its resume suffix;
+            // re-pricing the full shape here would silently turn the resume
+            // into a restart. It keeps its pre-replan price (and generation,
+            // so it never batches with re-priced shapes).
+            if q.job.checkpoint.is_some() {
+                continue;
+            }
+            let inp = match self.pricer.job_inputs(q.job.id, q.job.workload.as_ref()) {
+                Ok(inp) => inp,
+                Err(e @ ServeError::Calibration { .. }) => {
+                    self.errors.push(e);
+                    continue;
+                }
+                Err(_) => continue,
+            };
+            if lazy && self.pricer.reprice_unchanged(q, &inp) {
+                q.generation = generation;
+                continue;
+            }
+            let spec = if breaker_open { &CPU_ONLY } else { &q.job.spec };
+            match self
+                .pricer
+                .build_variant(q.job.workload.as_mut(), spec, &inp, true, None)
+            {
+                Ok(mut v) => {
+                    if uses_gpu(&v) {
+                        self.pricer.on_gpu_result(false, false);
+                    } else if breaker_open && spec_wants_gpu(&q.job.spec) {
+                        v.degraded = true;
+                    }
+                    v.retries += q.primary.retries;
+                    q.primary = v;
+                    q.generation = generation;
+                    q.fallback = if self.serve.cpu_fallback && uses_gpu(&q.primary) {
+                        self.pricer
+                            .build_variant(q.job.workload.as_mut(), &CPU_ONLY, &inp, false, None)
+                            .ok()
+                    } else {
+                        None
+                    };
+                }
+                Err(e) => {
+                    if let Some(m) = e.machine_fault() {
+                        let lost = matches!(m, MachineError::DeviceLost);
+                        q.primary.retries += e.retries();
+                        self.pricer.on_gpu_result(true, lost);
+                    }
+                    // Keep the previous variants: replanning never kills a job.
+                }
+            }
+        }
+    }
+
+    /// Trips the queue onto CPU-only shapes after the GPU circuit breaker
+    /// opens: every queued GPU job swaps to its already-measured fallback
+    /// variant when it has one (no re-compile — a trip racing a
+    /// calibration replan must not price the same job twice) or re-compiles
+    /// segment-granularly to `CpuParallel` otherwise.
+    fn degrade_queue(&mut self) {
+        for q in self.queue.iter_mut() {
+            // A resumed job keeps its measured suffix shape even with the
+            // breaker open: recompiling a from-scratch CPU-only variant would
+            // forfeit its saved levels, and its measured demands replay
+            // deterministically through the calendars either way.
+            if !uses_gpu(&q.primary) || q.job.checkpoint.is_some() {
+                continue;
+            }
+            let retries = q.primary.retries;
+            if let Some(mut f) = q.fallback.take() {
+                f.degraded = true;
+                f.retries += retries;
+                q.primary = f;
+                continue;
+            }
+            let Ok(inp) = self.pricer.job_inputs(q.job.id, q.job.workload.as_ref()) else {
+                continue;
+            };
+            match self
+                .pricer
+                .build_variant(q.job.workload.as_mut(), &CPU_ONLY, &inp, false, None)
+            {
+                Ok(mut v) => {
+                    v.degraded = true;
+                    v.retries = retries;
+                    q.primary = v;
+                }
+                // The CPU-only shape failing to build is not a device
+                // problem; record it and leave the job as-is — its
+                // measured demands still replay deterministically.
+                Err(e) => self.errors.push(e.into_serve(q.job.id)),
+            }
+        }
+    }
+
+    // --- Dispatch ------------------------------------------------------------
+
+    /// Schedules a dispatch retry at reservation release time `at`.
+    fn tick_at(&mut self, at: f64) {
+        self.tick_seq += 1;
+        self.heap.push(Reverse((Time(at), self.tick_seq, Ev::Tick)));
+    }
+
+    /// Offers the calendars to queued jobs in policy order until no job
+    /// can start at the current event: deadline cancellations, the
+    /// CPU-only fallback around a contended lease, cross-job batches and
+    /// solo dispatch.
+    fn dispatch(&mut self) {
+        let now = self.now;
+        loop {
+            if self.queue.is_empty() {
+                return;
+            }
+            let (order, rigid) = dispatch_order(&self.serve.policy, &self.ranks());
+            let mut chosen: Option<(usize, bool)> = None;
+            let mut cancels: Vec<usize> = Vec::new();
+            for (pos, &qi) in order.iter().enumerate() {
+                let q = &self.queue[qi];
+                let (ps, pe) = probe(&self.arb, now, &q.primary);
+                let (mut s, mut e, mut fb) = (ps, pe, false);
+                if ps > now + EPS {
+                    // Sampled at every dispatch round: how far away the
+                    // earliest feasible start is for a job the calendars
+                    // cannot place right now (GPU jobs: lease contention).
+                    if let Some(m) = &self.serve.metrics {
+                        if uses_gpu(&q.primary) {
+                            m.observe("arbiter.gpu_lease_wait", ps - now);
+                        }
+                    }
+                    // Device lease contended: take the CPU-only shape if it
+                    // starts now and finishes no later.
+                    if let Some(f) = &q.fallback {
+                        let (fs, fe) = probe(&self.arb, now, f);
+                        if fs <= now + EPS && fe <= pe + EPS {
+                            (s, e, fb) = (fs, fe, true);
+                        }
+                    }
+                }
+                if let Some(dl) = q.job.deadline {
+                    // Projections only grow as reservations accumulate, so a
+                    // completion past the deadline is already unmeetable.
+                    if e > dl + EPS {
+                        cancels.push(qi);
+                        continue;
+                    }
+                }
+                if s <= now + EPS {
+                    chosen = Some((qi, fb));
+                    break;
+                }
+                if pos < rigid {
+                    // No backfilling past a rigid (FIFO or overdue) entry.
+                    break;
+                }
+            }
+            if !cancels.is_empty() {
+                cancels.sort_unstable();
+                for qi in cancels.into_iter().rev() {
+                    let q = self.queue.remove(qi);
+                    self.cancel(q.job, &q.primary, false, q.generation);
+                }
+                continue;
+            }
+            let Some((qi, fb)) = chosen else {
+                return;
+            };
+            // Cross-job coalescing: the policy's winner may share its launch
+            // with other same-shaped queued jobs. Behind the `bound()` gate,
+            // [`BatchPolicy::Off`] never reaches this call.
+            if !fb {
+                if let Some(bound) = self.serve.batch.bound() {
+                    if self.try_batch(&order, qi, bound) {
+                        continue;
+                    }
+                }
+            }
+            let Queued {
+                job,
+                primary,
+                fallback,
+                generation,
+            } = self.queue.remove(qi);
+            // A chosen fallback that vanished (it cannot, but never panic the
+            // scheduler over it) degrades gracefully to the primary shape.
+            let (v, fb) = match fallback.filter(|_| fb) {
+                Some(f) => (f, true),
+                None => (primary, false),
+            };
+            let grant = self.commit(&v);
+            // Deadline-aware straggler cancellation (fault mode only): the
+            // calendars only hold per-segment device demands, so a job whose
+            // solo run carried overhang (retry backoff, straggler slowdown
+            // waits) really finishes later than its last reservation. If that
+            // true completion misses the deadline, cancel now and hand the
+            // slots back.
+            let strict = self.pricer.faults.is_some();
+            if let Some(dl) = job.deadline.filter(|_| strict) {
+                if grant.end + v.overhang() > dl + EPS {
+                    release_all(&mut self.arb, &grant.resvs);
+                    self.cancel(job, &v, fb, generation);
+                    continue;
+                }
+            }
+            self.complete(job, generation, v, fb, grant);
+        }
+    }
+
+    /// Cancels `job` (shape `v`) for a deadline it can no longer meet.
+    fn cancel(&mut self, job: StolenJob, v: &Variant, fallback: bool, generation: u64) {
+        if let Some(m) = &self.serve.metrics {
+            m.inc("serve.cancelled", 1);
+        }
+        self.errors.push(ServeError::Cancelled {
+            job: job.id,
+            deadline: job.deadline.unwrap_or(f64::NAN),
+        });
+        self.records.push(JobRecord {
+            id: job.id,
+            name: job.name,
+            outcome: JobOutcome::Cancelled,
+            arrival: job.arrival,
+            start: self.now,
+            end: self.now,
+            predicted: v.cost,
+            service: 0.0,
+            fallback,
+            retries: v.retries,
+            degraded: v.degraded,
+            calibration_generation: generation,
+        });
+    }
+
+    /// Reserves the variant's segment chain (same placement logic as
+    /// [`probe`] — a job's segments occupy disjoint windows, so committing
+    /// earlier segments never moves later ones) and schedules a dispatch
+    /// retry at every reservation release.
+    fn commit(&mut self, v: &Variant) -> Grant {
+        let mut t = self.now;
+        let mut start = f64::INFINITY;
+        let mut resvs = Vec::new();
+        let mut windows = Vec::with_capacity(v.demands.len());
+        for d in &v.demands {
+            if d.len() <= EPS {
+                windows.push((t, t));
+                continue;
+            }
+            let (s, e) = match d.kind {
+                SegKind::Cpu { cores } => {
+                    let (s, e) = self.arb.reserve_cpu(t, d.cpu, cores);
+                    resvs.push(Resv::Cpu(s, e, cores));
+                    (s, e)
+                }
+                SegKind::Gpu => {
+                    let (s, e) = self.arb.reserve_gpu(t, d.gpu);
+                    resvs.push(Resv::Gpu(s, e));
+                    (s, e)
+                }
+                SegKind::Split { cores } => {
+                    let (s, e) = self.arb.reserve_pair(t, d.cpu, cores, d.gpu);
+                    if d.gpu > EPS {
+                        resvs.push(Resv::Gpu(s, s + d.gpu));
+                    }
+                    if d.cpu > EPS {
+                        resvs.push(Resv::Cpu(s, s + d.cpu, cores));
+                    }
+                    (s, e)
+                }
+            };
+            if start.is_infinite() {
+                start = s;
+            }
+            windows.push((s, e));
+            self.tick_at(e);
+            t = e;
+        }
+        if start.is_infinite() {
+            start = self.now;
+        }
+        Grant {
+            start,
+            end: t,
+            windows,
+            resvs,
+        }
+    }
+
+    /// Tries to coalesce the dispatch-order winner `leader` with other
+    /// same-shaped queued jobs into one batched launch. Returns whether a
+    /// batch committed (the members are gone from the queue); `false` means
+    /// the caller dispatches the leader solo, exactly as without batching.
+    fn try_batch(&mut self, order: &[usize], leader: usize, bound: usize) -> bool {
+        let now = self.now;
+        if !batchable(&self.queue[leader].primary) {
+            return false;
+        }
+        // Companions in dispatch order — the policy's own ranking decides
+        // who shares the launch, never an id or arrival re-sort.
+        let mut member_qis: Vec<usize> = vec![leader];
+        for &qi in order {
+            if member_qis.len() >= bound {
+                break;
+            }
+            if qi != leader && same_batch_shape(&self.queue[leader], &self.queue[qi]) {
+                member_qis.push(qi);
+            }
+        }
+        // Fairness guard: lay the batch on a scratch copy of the calendars
+        // first. A member the merged windows would push past its deadline is
+        // dropped (re-probing, since dropping changes the merge); a batch
+        // that cannot start at this event, or that would make the *leader*
+        // miss a deadline it meets solo, is abandoned entirely.
+        loop {
+            if member_qis.len() < 2 {
+                return false;
+            }
+            let members: Vec<&Variant> = member_qis
+                .iter()
+                .map(|&qi| &self.queue[qi].primary)
+                .collect();
+            let lay = lay_batch(&mut self.arb.clone(), now, &members);
+            let batch_start = lay
+                .windows
+                .iter()
+                .map(|w| window_start(w, now))
+                .fold(f64::INFINITY, f64::min);
+            if batch_start > now + EPS {
+                return false;
+            }
+            let mut dropped = None;
+            for (mi, &qi) in member_qis.iter().enumerate() {
+                let q = &self.queue[qi];
+                let Some(dl) = q.job.deadline else { continue };
+                if window_end(&lay.windows[mi], now) + q.primary.overhang() > dl + EPS {
+                    if qi == leader {
+                        return false;
+                    }
+                    dropped = Some(mi);
+                    break;
+                }
+            }
+            match dropped {
+                Some(mi) => {
+                    member_qis.remove(mi);
+                }
+                None => break,
+            }
+        }
+        // Commit the real calendars and pull the members off the queue,
+        // keeping the dispatch-order pairing of member and windows.
+        let members: Vec<&Variant> = member_qis
+            .iter()
+            .map(|&qi| &self.queue[qi].primary)
+            .collect();
+        let size = members.len();
+        let lay = lay_batch(&mut self.arb, now, &members);
+        for &e in &lay.releases {
+            self.tick_at(e);
+        }
+        // Remove from the highest queue index down so earlier indices stay
+        // valid, then restore dispatch order.
+        let mut by_qi: Vec<(usize, usize)> = member_qis.into_iter().enumerate().collect();
+        by_qi.sort_by_key(|&(_, qi)| Reverse(qi));
+        let mut taken: Vec<(usize, Queued)> = by_qi
+            .into_iter()
+            .map(|(mi, qi)| (mi, self.queue.remove(qi)))
+            .collect();
+        taken.sort_by_key(|&(mi, _)| mi);
+        // One launch span, attributed to every member: the merged device
+        // window on the GPU track, parenting nothing — each member's own GPU
+        // segment spans share its window, which is the attribution.
+        let bs = lay
+            .gpu_windows
+            .iter()
+            .map(|w| w.0)
+            .fold(f64::INFINITY, f64::min)
+            .min(now);
+        let be = lay.gpu_windows.iter().map(|w| w.1).fold(now, f64::max);
+        self.spans.push(
+            Track::Gpu,
+            bs,
+            be,
+            SpanKind::Batch {
+                size: size as u32,
+                saved: lay.saved,
+            },
+            None,
+        );
+        if let Some(m) = &self.serve.metrics {
+            m.inc("batch.formed", 1);
+            m.observe("batch.size", size as f64);
+            m.observe("batch.amortized_savings", lay.saved);
+        }
+        let mut member_ids = Vec::with_capacity(size);
+        for ((_, q), windows) in taken.into_iter().zip(lay.windows) {
+            member_ids.push(q.job.id);
+            // A batch member's share of the merged lease is not separable,
+            // so a crash does not reclaim its reservations.
+            let grant = Grant {
+                start: window_start(&windows, now),
+                end: window_end(&windows, now),
+                windows,
+                resvs: Vec::new(),
+            };
+            self.complete(q.job, q.generation, q.primary, false, grant);
+        }
+        self.batches.push(BatchRecord {
+            at: now,
+            members: member_ids,
+            windows: lay.gpu_windows,
+            saved: lay.saved,
+        });
+        true
+    }
+
+    /// Books one dispatched job — solo or batch member — at its granted
+    /// reservations: the starvation credit of the older jobs it overtook,
+    /// its calibration evidence (released at completion), the metrics, its
+    /// span tree, the `Completed` record and run report, and the running
+    /// registry entry a crash would evict.
+    fn complete(
+        &mut self,
+        job: StolenJob,
+        generation: u64,
+        v: Variant,
+        fallback: bool,
+        grant: Grant,
+    ) {
+        let Grant {
+            start,
+            end,
+            windows,
+            resvs,
+        } = grant;
+        for other in self.queue.iter_mut() {
+            if other.job.id < job.id {
+                other.job.skips += 1;
+            }
+        }
+        if self.pricer.calibrator.is_some() {
+            let drift = if v.cost > 0.0 {
+                (v.report.virtual_time - v.cost) / v.cost
+            } else {
+                0.0
+            };
+            self.pending.push(PendingObs {
+                end,
+                job: job.id,
+                obs: v.obs,
+                drift,
+            });
+        }
+        if let Some(m) = &self.serve.metrics {
+            m.inc("serve.completed", 1);
+            m.observe("serve.admission_wait", start - job.arrival);
+            m.observe("serve.latency", end - job.arrival);
+            m.observe("serve.service", v.report.virtual_time);
+        }
+        push_job_spans(&mut self.spans, job.id, &job.name, start, end, &v, &windows);
+        self.records.push(JobRecord {
+            id: job.id,
+            name: job.name.clone(),
+            outcome: JobOutcome::Completed,
+            arrival: job.arrival,
+            start,
+            end,
+            predicted: v.cost,
+            service: v.report.virtual_time,
+            fallback,
+            retries: v.retries,
+            degraded: v.degraded,
+            calibration_generation: generation,
+        });
+        let boundaries = checkpoint_boundaries(self.serve.checkpoint, &v.plan, &windows);
+        self.runs.push(JobRun {
+            id: job.id,
+            name: job.name.clone(),
+            fallback,
+            report: v.report,
+        });
+        self.running.push(RunningJob {
+            words: job.workload.input_len() as u64,
+            job,
+            end,
+            boundaries,
+            next_boundary: 0,
+            resvs,
+        });
     }
 }
 
@@ -1281,61 +2097,6 @@ pub fn serve_sim(cfg: &MachineConfig, serve: &ServeConfig, jobs: Vec<JobRequest>
         node.submit(i as u64, job);
     }
     node.finish()
-}
-
-fn rejected_record(
-    id: u64,
-    name: &str,
-    outcome: JobOutcome,
-    at: f64,
-    generation: u64,
-    metrics: Option<&MetricsRegistry>,
-) -> JobRecord {
-    let retries = match outcome {
-        JobOutcome::Failed { retries, .. } => retries,
-        _ => 0,
-    };
-    if let Some(m) = metrics {
-        match outcome {
-            JobOutcome::QueueFull => m.inc("serve.rejected", 1),
-            JobOutcome::Failed { .. } => m.inc("serve.failed", 1),
-            _ => {}
-        }
-    }
-    JobRecord {
-        id,
-        name: name.to_string(),
-        outcome,
-        arrival: at,
-        start: at,
-        end: at,
-        predicted: 0.0,
-        service: 0.0,
-        fallback: false,
-        retries,
-        degraded: false,
-        calibration_generation: generation,
-    }
-}
-
-/// The parameters jobs are priced and compiled with: the configured or
-/// assumed machine, under the current calibration corrections. The CPU
-/// core count always follows the per-job machine slice — calibration
-/// corrects speeds and costs, never the structure.
-fn pricing_params(
-    job_cfg: &MachineConfig,
-    serve: &ServeConfig,
-    cal: Option<&Calibration>,
-) -> Result<MachineParams, CalibrationError> {
-    let mut params = serve
-        .assumed
-        .clone()
-        .unwrap_or_else(|| MachineParams::from_config(job_cfg));
-    params.p = job_cfg.cpu.cores;
-    match cal {
-        Some(c) => params.recalibrated(c),
-        None => Ok(params),
-    }
 }
 
 /// Why one pricing attempt failed (mapped onto [`ServeError`] with the
@@ -1376,196 +2137,17 @@ impl VariantError {
     }
 }
 
-/// Compiles (or cache-looks-up) `spec` under `params`, prices it, and
-/// solo-runs it on the true machine to measure demands and calibration
-/// evidence. With a cache attached, admission is a [`PlanCache`] lookup
-/// keyed by canonical plan key — only misses compile. With a metrics
-/// registry attached, compilation is timed through [`compile_timed`],
-/// cache traffic lands in the `plan_cache.*` counters, and the solo run
-/// samples the interpreter's per-segment timings.
-#[allow(clippy::too_many_arguments)]
-fn build_variant(
-    workload: &mut dyn Workload,
-    spec: &ScheduleSpec,
-    job_cfg: &MachineConfig,
-    params: &MachineParams,
-    rec: &Recurrence,
-    n: u64,
-    levels: u32,
-    faults: Option<&FaultState>,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    cache: Option<&mut PlanCache>,
-) -> Result<Variant, VariantError> {
-    let (plan, cost) = compile_through(spec, params, rec, n, levels, metrics, cache)?;
-    // CPU-only plans never touch the device: they are structurally immune
-    // to injected faults, so the injector is not attached.
-    let faults = if plan.uses_gpu() { faults } else { None };
-    solo(workload, job_cfg, plan, cost, params, faults, metrics, None)
-}
-
-/// The resume form of [`build_variant`]: compiles the **full** plan
-/// through the cache (sharing compiles with fresh admissions of the same
-/// shape), clips it to the checkpoint's resume suffix, prices the suffix
-/// alone, and solo-runs it through [`Workload::run_plan_resume`] — the
-/// measured demands and cost cover only the work still owed.
-#[allow(clippy::too_many_arguments)]
-fn build_variant_resume(
-    workload: &mut dyn Workload,
-    spec: &ScheduleSpec,
-    job_cfg: &MachineConfig,
-    params: &MachineParams,
-    rec: &Recurrence,
-    n: u64,
-    levels: u32,
-    ckpt: &Checkpoint,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    cache: Option<&mut PlanCache>,
-) -> Result<Variant, VariantError> {
-    let (plan, _) = compile_through(spec, params, rec, n, levels, metrics, cache)?;
-    let suffix = plan
-        .resume_from_level(ckpt.level)
-        .map_err(VariantError::Compile)?;
-    let profile = LevelProfile::new(params, rec, n);
-    let cost = plan_cost(&profile, &suffix).map_err(VariantError::Compile)?;
-    solo(
-        workload,
-        job_cfg,
-        Arc::new(suffix),
-        Arc::new(cost),
-        params,
-        None,
-        metrics,
-        Some(ckpt),
-    )
-}
-
-/// The compile-and-price step of [`build_variant`]: a cache lookup when
-/// a [`PlanCache`] is attached, a fresh [`compile`] + [`plan_cost`]
-/// otherwise.
-fn compile_through(
-    spec: &ScheduleSpec,
-    params: &MachineParams,
-    rec: &Recurrence,
-    n: u64,
-    levels: u32,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    cache: Option<&mut PlanCache>,
-) -> Result<(Arc<Plan>, Arc<PlanCost>), VariantError> {
-    match cache {
-        Some(c) => c
-            .lookup_or_compile(spec, params, rec, n, levels, metrics.map(|m| m.as_ref()))
-            .map_err(VariantError::Compile),
-        None => {
-            let plan = match metrics {
-                Some(m) => compile_timed(spec, params, rec, n, levels, m),
-                None => compile(spec, params, rec, n, levels),
-            }
-            .map_err(VariantError::Compile)?;
-            let profile = LevelProfile::new(params, rec, n);
-            let cost = plan_cost(&profile, &plan).map_err(VariantError::Compile)?;
-            Ok((Arc::new(plan), Arc::new(cost)))
-        }
-    }
-}
-
-/// Solo-runs the job's plan on a private virtual clock and folds the
-/// per-level metrics into per-segment device demands plus the
-/// per-unit predicted-vs-observed evidence.
-#[allow(clippy::too_many_arguments)]
-fn solo(
-    workload: &mut dyn Workload,
-    job_cfg: &MachineConfig,
-    plan: Arc<Plan>,
-    cost: Arc<PlanCost>,
-    params: &MachineParams,
-    faults: Option<&FaultState>,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    ckpt: Option<&Checkpoint>,
-) -> Result<Variant, VariantError> {
-    let mut hpu = match faults {
-        Some(f) => SimHpu::new(job_cfg.clone()).with_faults(f.injector.clone()),
-        None => SimHpu::new(job_cfg.clone()),
-    };
-    let (result, retries) = match (ckpt, faults) {
-        (Some(ck), _) => (workload.run_plan_resume(&mut hpu, &plan, ck), 0),
-        (None, Some(f)) => {
-            let (r, rs) = workload.run_plan_recover(&mut hpu, &plan, &f.recovery);
-            (r, rs.retries)
-        }
-        (None, None) => match metrics {
-            Some(m) => (workload.run_plan_metered(&mut hpu, &plan, m.clone()), 0),
-            None => (workload.run_plan(&mut hpu, &plan), 0),
-        },
-    };
-    let report = match result {
-        Ok(r) => r,
-        Err(source) => return Err(VariantError::Run { source, retries }),
-    };
-    let segs = plan.segments.len();
-    let mut cpu = vec![0.0; segs];
-    let mut gpu = vec![0.0; segs];
-    for row in &report.levels {
-        // `run_sim_plan` rejects empty plans before this point, so
-        // `segs >= 1`; the saturating clamp keeps the index total even if
-        // that invariant ever moves.
-        let si = row
-            .segment
-            .map(|s| s as usize)
-            .or_else(|| plan.segment_of(row.level).map(|(i, _)| i))
-            .unwrap_or(0)
-            .min(segs.saturating_sub(1));
-        cpu[si] += row.cpu_time;
-        // The bus is only ever driven for the device: transfers extend
-        // the segment's GPU lease.
-        gpu[si] += row.gpu_time + row.bus_time;
-    }
-    let demands = plan
-        .segments
-        .iter()
-        .enumerate()
-        .map(|(i, seg)| SegDemand {
-            kind: match seg.placement {
-                Placement::Cpu { cores } => SegKind::Cpu { cores },
-                Placement::Gpu => SegKind::Gpu,
-                Placement::Split { .. } => SegKind::Split {
-                    cores: job_cfg.cpu.cores,
-                },
-            },
-            cpu: cpu[i],
-            gpu: gpu[i],
-        })
-        .collect();
+/// Sets the predicted side of `obs` from `plan`'s cost under `params`.
+fn set_predicted(obs: &mut Observation, plan: &Plan, cost: &PlanCost, params: &MachineParams) {
     let predicted_bus: f64 = plan
         .segments
         .iter()
         .flat_map(|s| &s.transfers)
         .map(|t| params.transfer_time(t.words))
         .sum();
-    let obs = Observation {
-        predicted_cpu: cost.cpu,
-        predicted_gpu: (cost.gpu - predicted_bus).max(0.0),
-        predicted_bus,
-        observed_cpu: report.levels.iter().map(|r| r.cpu_time).sum(),
-        observed_gpu: report.levels.iter().map(|r| r.gpu_time).sum(),
-        observed_bus: report.levels.iter().map(|r| r.bus_time).sum(),
-    };
-    // The fixed costs batching can amortize are properties of the *true*
-    // machine the demands were measured on — the bus latency actually
-    // paid per transfer edge and the launch overhead actually paid per
-    // level — never of the believed (assumed/calibrated) parameters.
-    let fixed = (0..plan.segments.len())
-        .map(|i| plan.segment_fixed_cost(i, job_cfg.bus.lambda, job_cfg.gpu.launch_overhead))
-        .collect();
-    Ok(Variant {
-        cost: cost.total,
-        plan,
-        demands,
-        report,
-        obs,
-        retries,
-        degraded: false,
-        fixed,
-    })
+    obs.predicted_cpu = cost.cpu;
+    obs.predicted_gpu = (cost.gpu - predicted_bus).max(0.0);
+    obs.predicted_bus = predicted_bus;
 }
 
 /// Re-prices a variant whose recompiled plan came out identical: the
@@ -1574,480 +2156,9 @@ fn solo(
 /// replays on the *true* machine, which calibration never changes — are
 /// kept, skipping the redundant solo run.
 fn reprice(v: &mut Variant, plan: Arc<Plan>, cost: &PlanCost, params: &MachineParams) {
-    let predicted_bus: f64 = plan
-        .segments
-        .iter()
-        .flat_map(|s| &s.transfers)
-        .map(|t| params.transfer_time(t.words))
-        .sum();
-    v.obs.predicted_cpu = cost.cpu;
-    v.obs.predicted_gpu = (cost.gpu - predicted_bus).max(0.0);
-    v.obs.predicted_bus = predicted_bus;
+    set_predicted(&mut v.obs, &plan, cost, params);
     v.cost = cost.total;
     v.plan = plan;
-}
-
-/// Admits one arrival: price, compile, solo-measure, queue. `now` is the
-/// admission event's time; `arrival` is the time the job's record (and
-/// latency) spans from — they differ only for migrated jobs, whose
-/// records keep the original fleet-time submission. `skips` carries a
-/// migrated job's earned starvation credit; `ckpt` makes this a crash
-/// recovery that resumes from a level-boundary checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    id: u64,
-    mut job: JobRequest,
-    now: f64,
-    arrival: f64,
-    skips: usize,
-    ckpt: Option<Checkpoint>,
-    job_cfg: &MachineConfig,
-    serve: &ServeConfig,
-    queue: &mut Vec<Queued>,
-    records: &mut Vec<JobRecord>,
-    errors: &mut Vec<ServeError>,
-    cal: Option<&Calibration>,
-    generation: u64,
-    mut faults: Option<&mut FaultState>,
-    mut cache: Option<&mut PlanCache>,
-) {
-    if let Some(m) = &serve.metrics {
-        m.inc("serve.submitted", 1);
-    }
-    if queue.len() >= serve.queue_capacity {
-        errors.push(ServeError::QueueFull {
-            job: id,
-            capacity: serve.queue_capacity,
-        });
-        records.push(rejected_record(
-            id,
-            &job.name,
-            JobOutcome::QueueFull,
-            now,
-            generation,
-            serve.metrics.as_deref(),
-        ));
-        return;
-    }
-
-    let failed = |fault: FaultTag, retries: u32| JobOutcome::Failed { fault, retries };
-
-    let params = match pricing_params(job_cfg, serve, cal) {
-        Ok(p) => p,
-        Err(e) => {
-            errors.push(ServeError::Calibration {
-                job: Some(id),
-                source: e,
-            });
-            records.push(rejected_record(
-                id,
-                &job.name,
-                failed(FaultTag::Error, 0),
-                now,
-                generation,
-                serve.metrics.as_deref(),
-            ));
-            return;
-        }
-    };
-    let base_rec = job.workload.recurrence();
-    let rec = match cal {
-        Some(c) => c.scale_recurrence(&base_rec),
-        None => base_rec,
-    };
-    let n = job.workload.input_len() as u64;
-    let levels = match job.workload.exec_levels() {
-        Ok(l) => l,
-        Err(e) => {
-            errors.push(ServeError::Run { job: id, source: e });
-            records.push(rejected_record(
-                id,
-                &job.name,
-                failed(FaultTag::Error, 0),
-                now,
-                generation,
-                serve.metrics.as_deref(),
-            ));
-            return;
-        }
-    };
-    // With the breaker open the device is off limits: GPU specs compile
-    // straight to their CPU-only degradation, counted as degraded.
-    let breaker_open = faults.as_ref().is_some_and(|f| f.open);
-    let cpu_only = ScheduleSpec::CpuParallel;
-    let spec = if breaker_open { &cpu_only } else { &job.spec };
-    // A crash-recovered job resumes from its checkpoint: the full plan
-    // compiles (cache-shared with fresh admissions of the same shape) but
-    // only the remaining suffix is priced, measured and reserved. The
-    // fault injector is bypassed — a resume replays saved state rather
-    // than driving fresh traffic through the injector's deterministic
-    // stream — and no CPU-only fallback is compiled (a fallback would
-    // re-run from scratch, forfeiting the saved levels). If the resume
-    // shape fails to build, fall through to a normal restart admission.
-    if let Some(ck) = ckpt.filter(|c| c.level > 0) {
-        match build_variant_resume(
-            job.workload.as_mut(),
-            spec,
-            job_cfg,
-            &params,
-            &rec,
-            n,
-            levels,
-            &ck,
-            serve.metrics.as_ref(),
-            cache.as_deref_mut(),
-        ) {
-            Ok(v) => {
-                if let Some(m) = &serve.metrics {
-                    m.inc("recovery.resumed", 1);
-                }
-                queue.push(Queued {
-                    id,
-                    name: job.name,
-                    arrival,
-                    deadline: job.deadline,
-                    spec: job.spec,
-                    workload: job.workload,
-                    primary: v,
-                    fallback: None,
-                    skips,
-                    generation,
-                    checkpoint: Some(ck),
-                });
-                return;
-            }
-            Err(e) => errors.push(e.into_serve(id)),
-        }
-    }
-    let primary = match build_variant(
-        job.workload.as_mut(),
-        spec,
-        job_cfg,
-        &params,
-        &rec,
-        n,
-        levels,
-        faults.as_deref(),
-        serve.metrics.as_ref(),
-        cache.as_deref_mut(),
-    ) {
-        Ok(mut v) => {
-            if uses_gpu(&v) {
-                if let Some(f) = faults.as_deref_mut() {
-                    f.on_gpu_result(false, false);
-                }
-            } else if breaker_open && spec_wants_gpu(&job.spec) {
-                v.degraded = true;
-            }
-            v
-        }
-        Err(e) => {
-            // A device fault that survived the retry budget: feed the
-            // breaker, then re-compile this job segment-granularly to its
-            // CPU-only shape instead of failing it.
-            let Some(m) = e.machine_fault().cloned() else {
-                let retries = e.retries();
-                errors.push(e.into_serve(id));
-                records.push(rejected_record(
-                    id,
-                    &job.name,
-                    failed(FaultTag::Error, retries),
-                    now,
-                    generation,
-                    serve.metrics.as_deref(),
-                ));
-                return;
-            };
-            let retries = e.retries();
-            let tag = tag_of(&m);
-            if let Some(f) = faults {
-                f.on_gpu_result(true, matches!(m, MachineError::DeviceLost));
-            }
-            errors.push(e.into_serve(id));
-            match build_variant(
-                job.workload.as_mut(),
-                &cpu_only,
-                job_cfg,
-                &params,
-                &rec,
-                n,
-                levels,
-                None,
-                serve.metrics.as_ref(),
-                cache.as_deref_mut(),
-            ) {
-                Ok(mut v) => {
-                    v.degraded = true;
-                    v.retries = retries;
-                    v
-                }
-                Err(e2) => {
-                    errors.push(e2.into_serve(id));
-                    records.push(rejected_record(
-                        id,
-                        &job.name,
-                        failed(tag, retries),
-                        now,
-                        generation,
-                        serve.metrics.as_deref(),
-                    ));
-                    return;
-                }
-            }
-        }
-    };
-    // A GPU-using job also carries its CPU-only shape, so dispatch can
-    // route around a contended device lease.
-    let fallback = if serve.cpu_fallback && uses_gpu(&primary) {
-        build_variant(
-            job.workload.as_mut(),
-            &cpu_only,
-            job_cfg,
-            &params,
-            &rec,
-            n,
-            levels,
-            None,
-            serve.metrics.as_ref(),
-            cache,
-        )
-        .ok()
-    } else {
-        None
-    };
-    queue.push(Queued {
-        id,
-        name: job.name,
-        arrival,
-        deadline: job.deadline,
-        spec: job.spec,
-        workload: job.workload,
-        primary,
-        fallback,
-        skips,
-        generation,
-        checkpoint: None,
-    });
-}
-
-/// Re-prices every still-queued job under the corrected parameters. A
-/// job whose re-pricing fails keeps its previous variants — replanning
-/// improves estimates, it must never kill a job.
-///
-/// With a [`PlanCache`] attached (and no fault injection in play), a
-/// replan is a generation bump plus lazy re-fill: each queued job's spec
-/// recompiles through the cache — shared shapes compile once — and a job
-/// whose plan came out *identical* merely re-prices in place, skipping
-/// the redundant solo run (its measured demands replay the true machine,
-/// which calibration never changes). Only jobs whose plan structurally
-/// changed under the corrected parameters re-measure.
-///
-/// With the GPU circuit breaker open, GPU specs re-compile straight to
-/// their CPU-only degradation: a replan racing a breaker trip must not
-/// compile (and solo-run) the doomed GPU shape a second time. Only jobs
-/// still in the queue are touched — a cancelled or dispatched job is
-/// already gone and can never be re-admitted by a replan.
-#[allow(clippy::too_many_arguments)]
-fn replan(
-    queue: &mut [Queued],
-    job_cfg: &MachineConfig,
-    serve: &ServeConfig,
-    cal: &Calibration,
-    generation: u64,
-    errors: &mut Vec<ServeError>,
-    mut faults: Option<&mut FaultState>,
-    mut cache: Option<&mut PlanCache>,
-) {
-    if let Some(c) = cache.as_deref_mut() {
-        c.bump_generation();
-    }
-    let breaker_open = faults.as_ref().is_some_and(|f| f.open);
-    let cpu_only = ScheduleSpec::CpuParallel;
-    for q in queue.iter_mut() {
-        // A crash-recovered job's variants cover only its resume suffix;
-        // re-pricing the full shape here would silently turn the resume
-        // into a restart. It keeps its pre-replan price (and generation,
-        // so it never batches with re-priced shapes).
-        if q.checkpoint.is_some() {
-            continue;
-        }
-        let params = match pricing_params(job_cfg, serve, Some(cal)) {
-            Ok(p) => p,
-            Err(e) => {
-                errors.push(ServeError::Calibration {
-                    job: Some(q.id),
-                    source: e,
-                });
-                continue;
-            }
-        };
-        let rec = cal.scale_recurrence(&q.workload.recurrence());
-        let n = q.workload.input_len() as u64;
-        let Ok(levels) = q.workload.exec_levels() else {
-            continue;
-        };
-        let spec = if breaker_open { &cpu_only } else { &q.spec };
-        // Lazy fast path: unchanged plan → re-price only. Fault
-        // injection forces the slow path so the injector's event stream
-        // (fed by solo runs) stays exactly as before.
-        if faults.is_none() {
-            if let Some(c) = cache.as_deref_mut() {
-                let metrics = serve.metrics.as_deref();
-                if let Ok((plan, cost)) =
-                    c.lookup_or_compile(spec, &params, &rec, n, levels, metrics)
-                {
-                    if *plan == *q.primary.plan {
-                        reprice(&mut q.primary, plan, &cost, &params);
-                        if let Some(fb) = q.fallback.as_mut() {
-                            match c.lookup_or_compile(&cpu_only, &params, &rec, n, levels, metrics)
-                            {
-                                Ok((fp, fc)) if *fp == *fb.plan => reprice(fb, fp, &fc, &params),
-                                _ => {
-                                    q.fallback = build_variant(
-                                        q.workload.as_mut(),
-                                        &cpu_only,
-                                        job_cfg,
-                                        &params,
-                                        &rec,
-                                        n,
-                                        levels,
-                                        None,
-                                        serve.metrics.as_ref(),
-                                        Some(c),
-                                    )
-                                    .ok();
-                                }
-                            }
-                        }
-                        q.generation = generation;
-                        continue;
-                    }
-                }
-            }
-        }
-        match build_variant(
-            q.workload.as_mut(),
-            spec,
-            job_cfg,
-            &params,
-            &rec,
-            n,
-            levels,
-            faults.as_deref(),
-            serve.metrics.as_ref(),
-            cache.as_deref_mut(),
-        ) {
-            Ok(mut v) => {
-                if uses_gpu(&v) {
-                    if let Some(f) = faults.as_deref_mut() {
-                        f.on_gpu_result(false, false);
-                    }
-                } else if breaker_open && spec_wants_gpu(&q.spec) {
-                    v.degraded = true;
-                }
-                v.retries += q.primary.retries;
-                q.primary = v;
-                q.generation = generation;
-                q.fallback = if serve.cpu_fallback && uses_gpu(&q.primary) {
-                    build_variant(
-                        q.workload.as_mut(),
-                        &cpu_only,
-                        job_cfg,
-                        &params,
-                        &rec,
-                        n,
-                        levels,
-                        None,
-                        serve.metrics.as_ref(),
-                        cache.as_deref_mut(),
-                    )
-                    .ok()
-                } else {
-                    None
-                };
-            }
-            Err(e) => {
-                if let Some(m) = e.machine_fault() {
-                    let lost = matches!(m, MachineError::DeviceLost);
-                    q.primary.retries += e.retries();
-                    if let Some(f) = faults.as_deref_mut() {
-                        f.on_gpu_result(true, lost);
-                    }
-                }
-                // Keep the previous variants: replanning never kills a job.
-            }
-        }
-    }
-}
-
-/// Trips the queue onto CPU-only shapes after the GPU circuit breaker
-/// opens: every queued GPU job swaps to its already-measured fallback
-/// variant when it has one (no re-compile — a trip racing a
-/// calibration replan must not price the same job twice) or re-compiles
-/// segment-granularly to `CpuParallel` otherwise.
-fn degrade_queue(
-    queue: &mut [Queued],
-    job_cfg: &MachineConfig,
-    serve: &ServeConfig,
-    cal: Option<&Calibration>,
-    errors: &mut Vec<ServeError>,
-    mut cache: Option<&mut PlanCache>,
-) {
-    for q in queue.iter_mut() {
-        if !uses_gpu(&q.primary) {
-            continue;
-        }
-        // A resumed job keeps its measured suffix shape even with the
-        // breaker open: recompiling a from-scratch CPU-only variant would
-        // forfeit its saved levels, and its measured demands replay
-        // deterministically through the calendars either way.
-        if q.checkpoint.is_some() {
-            continue;
-        }
-        let retries = q.primary.retries;
-        if let Some(mut f) = q.fallback.take() {
-            f.degraded = true;
-            f.retries += retries;
-            q.primary = f;
-            continue;
-        }
-        let Ok(params) = pricing_params(job_cfg, serve, cal) else {
-            continue;
-        };
-        let base_rec = q.workload.recurrence();
-        let rec = match cal {
-            Some(c) => c.scale_recurrence(&base_rec),
-            None => base_rec,
-        };
-        let n = q.workload.input_len() as u64;
-        let Ok(levels) = q.workload.exec_levels() else {
-            continue;
-        };
-        match build_variant(
-            q.workload.as_mut(),
-            &ScheduleSpec::CpuParallel,
-            job_cfg,
-            &params,
-            &rec,
-            n,
-            levels,
-            None,
-            serve.metrics.as_ref(),
-            cache.as_deref_mut(),
-        ) {
-            Ok(mut v) => {
-                v.degraded = true;
-                v.retries = retries;
-                q.primary = v;
-            }
-            Err(e) => {
-                // The CPU-only shape failing to build is not a device
-                // problem; record it and leave the job as-is — its
-                // measured demands still replay deterministically.
-                errors.push(e.into_serve(q.id));
-            }
-        }
-    }
 }
 
 /// Earliest `(start, end)` the variant's segment chain can run at or
@@ -2081,66 +2192,6 @@ fn probe(arb: &DeviceArbiter, t0: f64, v: &Variant) -> (f64, f64) {
 enum Resv {
     Gpu(f64, f64),
     Cpu(f64, f64, usize),
-}
-
-/// Reserves the variant's segment chain (same placement logic as
-/// [`probe`] — a job's segments occupy disjoint windows, so committing
-/// earlier segments never moves later ones) and schedules a dispatch
-/// retry at every reservation release. Returns the window, every
-/// calendar entry made (for release on cancellation), and the granted
-/// `(start, end)` window of each demand — aligned index for index with
-/// `v.demands`, zero-length demands getting the empty window `(t, t)` —
-/// so dispatch can hang segment spans on the real reservations.
-fn commit(
-    arb: &mut DeviceArbiter,
-    heap: &mut EventHeap,
-    tick_seq: &mut u64,
-    t0: f64,
-    v: &Variant,
-) -> (f64, f64, Vec<Resv>, Vec<(f64, f64)>) {
-    let mut t = t0;
-    let mut start = f64::INFINITY;
-    let mut resvs = Vec::new();
-    let mut windows = Vec::with_capacity(v.demands.len());
-    for d in &v.demands {
-        if d.len() <= EPS {
-            windows.push((t, t));
-            continue;
-        }
-        let (s, e) = match d.kind {
-            SegKind::Cpu { cores } => {
-                let (s, e) = arb.reserve_cpu(t, d.cpu, cores);
-                resvs.push(Resv::Cpu(s, e, cores));
-                (s, e)
-            }
-            SegKind::Gpu => {
-                let (s, e) = arb.reserve_gpu(t, d.gpu);
-                resvs.push(Resv::Gpu(s, e));
-                (s, e)
-            }
-            SegKind::Split { cores } => {
-                let (s, e) = arb.reserve_pair(t, d.cpu, cores, d.gpu);
-                if d.gpu > EPS {
-                    resvs.push(Resv::Gpu(s, s + d.gpu));
-                }
-                if d.cpu > EPS {
-                    resvs.push(Resv::Cpu(s, s + d.cpu, cores));
-                }
-                (s, e)
-            }
-        };
-        if start.is_infinite() {
-            start = s;
-        }
-        windows.push((s, e));
-        *tick_seq += 1;
-        heap.push(Reverse((Time(e), *tick_seq, Ev::Tick)));
-        t = e;
-    }
-    if start.is_infinite() {
-        start = t0;
-    }
-    (start, t, resvs, windows)
 }
 
 /// Releases every calendar entry of a cancelled job back to the arbiter,
@@ -2205,12 +2256,12 @@ fn batchable(v: &Variant) -> bool {
 /// "same-shaped kernels").
 fn same_batch_shape(a: &Queued, b: &Queued) -> bool {
     batchable(&b.primary)
-        && a.workload.kind() == b.workload.kind()
+        && a.job.workload.kind() == b.job.workload.kind()
         && a.generation == b.generation
         && *a.primary.plan == *b.primary.plan
 }
 
-/// The committed (or probed) reservation layout of one batch.
+/// The reservation layout of one batch.
 struct BatchTimeline {
     /// Per-member granted windows, aligned index for index with each
     /// member's `demands` (zero-length demands get `(t, t)`); members in
@@ -2218,6 +2269,8 @@ struct BatchTimeline {
     windows: Vec<Vec<(f64, f64)>>,
     /// The merged GPU windows, one per batched GPU segment, plan order.
     gpu_windows: Vec<(f64, f64)>,
+    /// Every reservation's release time, in reservation order.
+    releases: Vec<f64>,
     /// Total device time amortized away versus solo commits.
     saved: f64,
 }
@@ -2247,20 +2300,14 @@ fn window_end(windows: &[(f64, f64)], fallback: f64) -> f64 {
 /// segment `i + 1` only when every member finished segment `i` — the
 /// price of sharing a launch.
 ///
-/// With `heap` present this is the real commit (a dispatch-retry tick is
-/// scheduled at every reservation release); probing the same layout on a
-/// *clone* of the arbiter with `heap = None` answers "what would this
+/// Laying the batch on a *clone* of the arbiter answers "what would this
 /// batch look like" without committing anything.
-fn lay_batch(
-    arb: &mut DeviceArbiter,
-    mut heap: Option<(&mut EventHeap, &mut u64)>,
-    t0: f64,
-    members: &[&Variant],
-) -> BatchTimeline {
+fn lay_batch(arb: &mut DeviceArbiter, t0: f64, members: &[&Variant]) -> BatchTimeline {
     let m = members.len();
     let segs = members[0].demands.len();
     let mut windows = vec![Vec::with_capacity(segs); m];
     let mut gpu_windows = Vec::new();
+    let mut releases = Vec::new();
     let mut saved = 0.0;
     let mut t = t0;
     for si in 0..segs {
@@ -2279,10 +2326,7 @@ fn lay_batch(
                     continue;
                 }
                 let (s, e) = arb.reserve_gpu_batch(t, merged.time, m);
-                if let Some((heap, seq)) = heap.as_mut() {
-                    **seq += 1;
-                    heap.push(Reverse((Time(e), **seq, Ev::Tick)));
-                }
+                releases.push(e);
                 for w in windows.iter_mut() {
                     w.push((s, e));
                 }
@@ -2305,10 +2349,7 @@ fn lay_batch(
                         SegKind::Gpu => 1,
                     };
                     let (s, e) = arb.reserve_cpu(t, d.cpu, cores);
-                    if let Some((heap, seq)) = heap.as_mut() {
-                        **seq += 1;
-                        heap.push(Reverse((Time(e), **seq, Ev::Tick)));
-                    }
+                    releases.push(e);
                     windows[mi].push((s, e));
                     barrier = barrier.max(e);
                 }
@@ -2319,461 +2360,8 @@ fn lay_batch(
     BatchTimeline {
         windows,
         gpu_windows,
+        releases,
         saved,
-    }
-}
-
-/// Tries to coalesce the dispatch-order winner `leader` with other
-/// same-shaped queued jobs into one batched launch. Returns whether a
-/// batch committed (the members are gone from the queue); `false` means
-/// the caller dispatches the leader solo, exactly as without batching.
-#[allow(clippy::too_many_arguments)]
-fn try_batch(
-    now: f64,
-    serve: &ServeConfig,
-    arb: &mut DeviceArbiter,
-    queue: &mut Vec<Queued>,
-    records: &mut Vec<JobRecord>,
-    runs: &mut Vec<JobRun>,
-    heap: &mut EventHeap,
-    tick_seq: &mut u64,
-    pending: &mut Option<&mut Vec<PendingObs>>,
-    order: &[usize],
-    leader: usize,
-    bound: usize,
-    spans: &mut SpanSet,
-    batches: &mut Vec<BatchRecord>,
-    running: &mut Vec<RunningJob>,
-) -> bool {
-    if !batchable(&queue[leader].primary) {
-        return false;
-    }
-    // Companions in dispatch order — the policy's own ranking decides
-    // who shares the launch, never an id or arrival re-sort.
-    let mut member_qis: Vec<usize> = vec![leader];
-    for &qi in order {
-        if member_qis.len() >= bound {
-            break;
-        }
-        if qi != leader && same_batch_shape(&queue[leader], &queue[qi]) {
-            member_qis.push(qi);
-        }
-    }
-    // Fairness guard: lay the batch on a scratch copy of the calendars
-    // first. A member the merged windows would push past its deadline is
-    // dropped (re-probing, since dropping changes the merge); a batch
-    // that cannot start at this event, or that would make the *leader*
-    // miss a deadline it meets solo, is abandoned entirely.
-    loop {
-        if member_qis.len() < 2 {
-            return false;
-        }
-        let members: Vec<&Variant> = member_qis.iter().map(|&qi| &queue[qi].primary).collect();
-        let mut scratch = arb.clone();
-        let lay = lay_batch(&mut scratch, None, now, &members);
-        let batch_start = lay
-            .windows
-            .iter()
-            .map(|w| window_start(w, now))
-            .fold(f64::INFINITY, f64::min);
-        if batch_start > now + EPS {
-            return false;
-        }
-        let mut dropped = None;
-        for (mi, &qi) in member_qis.iter().enumerate() {
-            let q = &queue[qi];
-            let Some(dl) = q.deadline else { continue };
-            if window_end(&lay.windows[mi], now) + q.primary.overhang() > dl + EPS {
-                if qi == leader {
-                    return false;
-                }
-                dropped = Some(mi);
-                break;
-            }
-        }
-        match dropped {
-            Some(mi) => {
-                member_qis.remove(mi);
-            }
-            None => break,
-        }
-    }
-    // Commit the real calendars and pull the members off the queue,
-    // keeping the dispatch-order pairing of member and windows.
-    let members: Vec<&Variant> = member_qis.iter().map(|&qi| &queue[qi].primary).collect();
-    let size = members.len();
-    let lay = lay_batch(arb, Some((heap, tick_seq)), now, &members);
-    let mut order_ix: Vec<usize> = (0..member_qis.len()).collect();
-    order_ix.sort_by(|&a, &b| member_qis[b].cmp(&member_qis[a]));
-    let mut taken: Vec<Option<Queued>> = (0..size).map(|_| None).collect();
-    for ix in order_ix {
-        taken[ix] = Some(queue.remove(member_qis[ix]));
-    }
-    // One launch span, attributed to every member: the merged device
-    // window on the GPU track, parenting nothing — each member's own GPU
-    // segment spans share its window, which is the attribution.
-    let bs = lay
-        .gpu_windows
-        .iter()
-        .map(|w| w.0)
-        .fold(f64::INFINITY, f64::min)
-        .min(now);
-    let be = lay.gpu_windows.iter().map(|w| w.1).fold(now, f64::max);
-    spans.push(
-        Track::Gpu,
-        bs,
-        be,
-        SpanKind::Batch {
-            size: size as u32,
-            saved: lay.saved,
-        },
-        None,
-    );
-    if let Some(m) = &serve.metrics {
-        m.inc("batch.formed", 1);
-        m.observe("batch.size", size as f64);
-        m.observe("batch.amortized_savings", lay.saved);
-    }
-    let mut member_ids = Vec::with_capacity(size);
-    for (mi, q) in taken.into_iter().enumerate() {
-        let Queued {
-            id,
-            name,
-            arrival,
-            deadline,
-            spec,
-            workload,
-            primary: v,
-            fallback: _,
-            skips,
-            generation,
-            checkpoint,
-        } = q.expect("every batch member was taken exactly once");
-        let windows = &lay.windows[mi];
-        let start = window_start(windows, now);
-        let end = window_end(windows, now);
-        member_ids.push(id);
-        for other in queue.iter_mut() {
-            if other.id < id {
-                other.skips += 1;
-            }
-        }
-        if let Some(pending) = pending.as_deref_mut() {
-            let drift = if v.cost > 0.0 {
-                (v.report.virtual_time - v.cost) / v.cost
-            } else {
-                0.0
-            };
-            pending.push(PendingObs {
-                end,
-                job: id,
-                obs: v.obs,
-                drift,
-            });
-        }
-        if let Some(m) = &serve.metrics {
-            m.inc("serve.completed", 1);
-            m.observe("serve.admission_wait", start - arrival);
-            m.observe("serve.latency", end - arrival);
-            m.observe("serve.service", v.report.virtual_time);
-        }
-        push_job_spans(spans, id, &name, start, end, &v, windows);
-        records.push(JobRecord {
-            id,
-            name: name.clone(),
-            outcome: JobOutcome::Completed,
-            arrival,
-            start,
-            end,
-            predicted: v.cost,
-            service: v.report.virtual_time,
-            fallback: false,
-            retries: v.retries,
-            degraded: v.degraded,
-            calibration_generation: generation,
-        });
-        let boundaries = checkpoint_boundaries(serve.checkpoint, &v.plan, windows);
-        let words = workload.input_len() as u64;
-        runs.push(JobRun {
-            id,
-            name: name.clone(),
-            fallback: false,
-            report: v.report,
-        });
-        // A batch member's share of the merged lease is not separable, so
-        // a crash does not reclaim its reservations (`resvs` stays empty).
-        running.push(RunningJob {
-            id,
-            name,
-            spec,
-            arrival,
-            deadline,
-            skips,
-            workload,
-            end,
-            boundaries,
-            next_boundary: 0,
-            prior_ckpt: checkpoint,
-            resvs: Vec::new(),
-            words,
-        });
-    }
-    batches.push(BatchRecord {
-        at: now,
-        members: member_ids,
-        windows: lay.gpu_windows,
-        saved: lay.saved,
-    });
-    true
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dispatch_all(
-    now: f64,
-    serve: &ServeConfig,
-    arb: &mut DeviceArbiter,
-    queue: &mut Vec<Queued>,
-    records: &mut Vec<JobRecord>,
-    runs: &mut Vec<JobRun>,
-    errors: &mut Vec<ServeError>,
-    heap: &mut EventHeap,
-    tick_seq: &mut u64,
-    mut pending: Option<&mut Vec<PendingObs>>,
-    strict_deadlines: bool,
-    spans: &mut SpanSet,
-    batches: &mut Vec<BatchRecord>,
-    running: &mut Vec<RunningJob>,
-) {
-    loop {
-        if queue.is_empty() {
-            return;
-        }
-        let ranks: Vec<Rank> = queue
-            .iter()
-            .map(|q| Rank {
-                seq: q.id,
-                cost: q.primary.cost,
-                skips: q.skips,
-            })
-            .collect();
-        let (order, rigid) = dispatch_order(&serve.policy, &ranks);
-        let mut chosen: Option<(usize, bool)> = None;
-        let mut cancels: Vec<usize> = Vec::new();
-        for (pos, &qi) in order.iter().enumerate() {
-            let q = &queue[qi];
-            let (ps, pe) = probe(arb, now, &q.primary);
-            let (mut s, mut e, mut fb) = (ps, pe, false);
-            if ps > now + EPS {
-                // Sampled at every dispatch round: how far away the
-                // earliest feasible start is for a job the calendars
-                // cannot place right now (GPU jobs: lease contention).
-                if let Some(m) = &serve.metrics {
-                    if uses_gpu(&q.primary) {
-                        m.observe("arbiter.gpu_lease_wait", ps - now);
-                    }
-                }
-                // Device lease contended: take the CPU-only shape if it
-                // starts now and finishes no later.
-                if let Some(f) = &q.fallback {
-                    let (fs, fe) = probe(arb, now, f);
-                    if fs <= now + EPS && fe <= pe + EPS {
-                        (s, e, fb) = (fs, fe, true);
-                    }
-                }
-            }
-            if let Some(dl) = q.deadline {
-                // Projections only grow as reservations accumulate, so a
-                // completion past the deadline is already unmeetable.
-                if e > dl + EPS {
-                    cancels.push(qi);
-                    continue;
-                }
-            }
-            if s <= now + EPS {
-                chosen = Some((qi, fb));
-                break;
-            }
-            if pos < rigid {
-                // No backfilling past a rigid (FIFO or overdue) entry.
-                break;
-            }
-        }
-        if !cancels.is_empty() {
-            cancels.sort_unstable();
-            for qi in cancels.into_iter().rev() {
-                let q = queue.remove(qi);
-                if let Some(m) = &serve.metrics {
-                    m.inc("serve.cancelled", 1);
-                }
-                errors.push(ServeError::Cancelled {
-                    job: q.id,
-                    deadline: q.deadline.unwrap_or(f64::NAN),
-                });
-                records.push(JobRecord {
-                    id: q.id,
-                    name: q.name,
-                    outcome: JobOutcome::Cancelled,
-                    arrival: q.arrival,
-                    start: now,
-                    end: now,
-                    predicted: q.primary.cost,
-                    service: 0.0,
-                    fallback: false,
-                    retries: q.primary.retries,
-                    degraded: q.primary.degraded,
-                    calibration_generation: q.generation,
-                });
-            }
-            continue;
-        }
-        let Some((qi, fb)) = chosen else {
-            return;
-        };
-        // Cross-job coalescing: the policy's winner may share its launch
-        // with other same-shaped queued jobs. Behind the `bound()` gate,
-        // [`BatchPolicy::Off`] never reaches this call.
-        if !fb {
-            if let Some(bound) = serve.batch.bound() {
-                if try_batch(
-                    now,
-                    serve,
-                    arb,
-                    queue,
-                    records,
-                    runs,
-                    heap,
-                    tick_seq,
-                    &mut pending,
-                    &order,
-                    qi,
-                    bound,
-                    spans,
-                    batches,
-                    running,
-                ) {
-                    continue;
-                }
-            }
-        }
-        let Queued {
-            id,
-            name,
-            arrival,
-            deadline,
-            spec,
-            workload,
-            primary,
-            fallback,
-            skips,
-            generation,
-            checkpoint,
-        } = queue.remove(qi);
-        // A chosen fallback that vanished (it cannot, but never panic the
-        // scheduler over it) degrades gracefully to the primary shape.
-        let (v, fb) = match (fb, fallback) {
-            (true, Some(f)) => (f, true),
-            (true, None) => (primary, false),
-            (false, p_or_f) => {
-                drop(p_or_f);
-                (primary, false)
-            }
-        };
-        let (start, end, resvs, windows) = commit(arb, heap, tick_seq, now, &v);
-        // Deadline-aware straggler cancellation (fault mode only): the
-        // calendars only hold per-segment device demands, so a job whose
-        // solo run carried overhang (retry backoff, straggler slowdown
-        // waits) really finishes later than its last reservation. If that
-        // true completion misses the deadline, cancel now and hand the
-        // slots back.
-        if let Some(dl) = deadline.filter(|_| strict_deadlines) {
-            if end + v.overhang() > dl + EPS {
-                release_all(arb, &resvs);
-                if let Some(m) = &serve.metrics {
-                    m.inc("serve.cancelled", 1);
-                }
-                errors.push(ServeError::Cancelled {
-                    job: id,
-                    deadline: dl,
-                });
-                records.push(JobRecord {
-                    id,
-                    name,
-                    outcome: JobOutcome::Cancelled,
-                    arrival,
-                    start: now,
-                    end: now,
-                    predicted: v.cost,
-                    service: 0.0,
-                    fallback: fb,
-                    retries: v.retries,
-                    degraded: v.degraded,
-                    calibration_generation: generation,
-                });
-                continue;
-            }
-        }
-        for other in queue.iter_mut() {
-            if other.id < id {
-                other.skips += 1;
-            }
-        }
-        if let Some(pending) = pending.as_deref_mut() {
-            let drift = if v.cost > 0.0 {
-                (v.report.virtual_time - v.cost) / v.cost
-            } else {
-                0.0
-            };
-            pending.push(PendingObs {
-                end,
-                job: id,
-                obs: v.obs,
-                drift,
-            });
-        }
-        if let Some(m) = &serve.metrics {
-            m.inc("serve.completed", 1);
-            m.observe("serve.admission_wait", start - arrival);
-            m.observe("serve.latency", end - arrival);
-            m.observe("serve.service", v.report.virtual_time);
-        }
-        push_job_spans(spans, id, &name, start, end, &v, &windows);
-        records.push(JobRecord {
-            id,
-            name: name.clone(),
-            outcome: JobOutcome::Completed,
-            arrival,
-            start,
-            end,
-            predicted: v.cost,
-            service: v.report.virtual_time,
-            fallback: fb,
-            retries: v.retries,
-            degraded: v.degraded,
-            calibration_generation: generation,
-        });
-        let boundaries = checkpoint_boundaries(serve.checkpoint, &v.plan, &windows);
-        let words = workload.input_len() as u64;
-        runs.push(JobRun {
-            id,
-            name: name.clone(),
-            fallback: fb,
-            report: v.report,
-        });
-        running.push(RunningJob {
-            id,
-            name,
-            spec,
-            arrival,
-            deadline,
-            skips,
-            workload,
-            end,
-            boundaries,
-            next_boundary: 0,
-            prior_ckpt: checkpoint,
-            resvs,
-            words,
-        });
     }
 }
 

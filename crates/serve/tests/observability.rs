@@ -159,3 +159,55 @@ fn chrome_trace_shows_served_span_flow_arrows() {
     );
     assert!(json.contains("\"parent\""), "parent ids in args");
 }
+
+/// Regression: a metered solo run used to drop its interpreter samples
+/// whenever it also ran under a fault config or resumed from a
+/// checkpoint. Metering now composes with both.
+#[test]
+fn metering_composes_with_recovery_and_resume() {
+    use hpu_core::exec::Checkpoint;
+    use hpu_machine::FaultPlan;
+    use hpu_serve::{FaultConfig, NodeSim, StolenJob};
+
+    let cfg = MachineConfig::hpu1_sim();
+    let kernel_samples = |serve: ServeConfig, checkpoint: Option<Checkpoint>| {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let serve = ServeConfig {
+            metrics: Some(metrics.clone()),
+            ..serve
+        };
+        let mut node = NodeSim::new(&cfg, &serve);
+        let job = StolenJob {
+            id: 0,
+            name: "a".into(),
+            spec: ScheduleSpec::GpuOnly,
+            arrival: 0.0,
+            deadline: None,
+            skips: 0,
+            checkpoint,
+            workload: AlgoJob::boxed(MergeSort::new(), input(1 << 10)),
+        };
+        node.inject(job, 0.0);
+        assert_eq!(node.finish().report.completed, 1);
+        match metrics.snapshot().get("interpret.kernel_time") {
+            Some(MetricValue::Histogram(h)) => h.count,
+            _ => 0,
+        }
+    };
+    let faulty = ServeConfig {
+        faults: Some(FaultConfig::new(FaultPlan::new(7))),
+        ..ServeConfig::default()
+    };
+    let ckpt = Checkpoint {
+        level: 4,
+        resident_words: 1 << 10,
+        generation: 0,
+    };
+    assert_eq!(kernel_samples(ServeConfig::default(), None), 1);
+    assert_eq!(kernel_samples(faulty, None), 1, "metered under faults");
+    assert_eq!(
+        kernel_samples(ServeConfig::default(), Some(ckpt)),
+        1,
+        "metered on resume"
+    );
+}

@@ -270,7 +270,7 @@ fn contended_gpu_takes_the_cpu_fallback() {
 /// A plan compiled for one input cannot silently run on another.
 #[test]
 fn plans_are_validated_against_their_input() {
-    use hpu_core::exec::run_sim_plan;
+    use hpu_core::exec::{run_sim_plan, RunOpts};
     use hpu_machine::{SimHpu, SimMachineParams};
     use hpu_model::{compile, MachineParams};
 
@@ -282,7 +282,7 @@ fn plans_are_validated_against_their_input() {
     let plan = compile(&ScheduleSpec::CpuParallel, &params, &rec, 256, levels).unwrap();
     let mut data = input(512);
     let mut hpu = SimHpu::new(cfg);
-    let got = run_sim_plan(&algo, &mut data, &mut hpu, &plan);
+    let (got, _) = run_sim_plan(&algo, &mut data, &mut hpu, &plan, &RunOpts::default());
     assert!(matches!(got, Err(CoreError::MalformedPlan { .. })));
 }
 
@@ -291,7 +291,7 @@ fn plans_are_validated_against_their_input() {
 /// index underflow inside the scheduler's demand folding.
 #[test]
 fn empty_plans_are_rejected_not_priced_or_run() {
-    use hpu_core::exec::run_sim_plan;
+    use hpu_core::exec::{run_sim_plan, RunOpts};
     use hpu_machine::SimHpu;
     use hpu_model::{plan_cost, LevelProfile, MachineParams, ModelError, Plan, Recurrence};
 
@@ -310,7 +310,13 @@ fn empty_plans_are_rejected_not_priced_or_run() {
     ));
     let mut data = input(256);
     let mut hpu = SimHpu::new(MachineConfig::tiny());
-    let got = run_sim_plan(&MergeSort::new(), &mut data, &mut hpu, &empty);
+    let (got, _) = run_sim_plan(
+        &MergeSort::new(),
+        &mut data,
+        &mut hpu,
+        &empty,
+        &RunOpts::default(),
+    );
     assert!(matches!(got, Err(CoreError::MalformedPlan { .. })));
 }
 

@@ -3,8 +3,9 @@
 //!
 //! Two user-defined algorithms:
 //!
-//! 1. a min/max range reduction in the regular in-place form, which gets
-//!    every scheduler (CPU-only, GPU-only, basic, advanced) for free;
+//! 1. a min/max range reduction in the regular in-place form, which runs
+//!    under every [`ScheduleSpec`] (CPU-parallel, GPU-only, basic,
+//!    advanced) for free;
 //! 2. a word-count over text chunks in the general tree form
 //!    (Algorithms 1 & 2), executed recursively, breadth-first and on real
 //!    threads.
@@ -88,15 +89,15 @@ fn main() {
         })
         .collect();
 
-    println!("min/max reduction over {n} values, every strategy:");
-    for (name, strategy) in [
-        ("sequential", Strategy::Sequential),
-        ("cpu-only", Strategy::CpuOnly),
-        ("gpu-only", Strategy::GpuOnly),
-        ("basic", Strategy::Basic { crossover: None }),
+    println!("min/max reduction over {n} values, every schedule:");
+    for (name, spec) in [
+        ("sequential", ScheduleSpec::Sequential),
+        ("cpu-parallel", ScheduleSpec::CpuParallel),
+        ("gpu-only", ScheduleSpec::GpuOnly),
+        ("basic", ScheduleSpec::Basic { crossover: None }),
         (
             "advanced",
-            Strategy::Advanced {
+            ScheduleSpec::Advanced {
                 alpha: 0.2,
                 transfer_level: 5,
             },
@@ -104,9 +105,9 @@ fn main() {
     ] {
         let mut data = values.clone();
         let mut hpu = SimHpu::new(MachineConfig::hpu2_sim());
-        let report = run_sim(&MinMaxReduce, &mut data, &mut hpu, &strategy).unwrap();
+        let report = run_sim(&MinMaxReduce, &mut data, &mut hpu, &spec).unwrap();
         println!(
-            "  {:<11} -> min {:>4}, max {:>4}, virtual time {:>10.0}",
+            "  {:<12} -> min {:>4}, max {:>4}, virtual time {:>10.0}",
             name, data[0].min, data[0].max, report.virtual_time
         );
     }

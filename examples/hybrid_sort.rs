@@ -1,6 +1,7 @@
 //! The full paper workflow on one input: estimate the machine parameters
 //! (§6.4), solve the advanced work division analytically (§5.2), run the
-//! hybrid sort, and show the virtual timeline of what each unit did.
+//! hybrid sort as a [`ScheduleSpec::Advanced`], and show the virtual
+//! timeline of what each unit did.
 //!
 //! ```text
 //! cargo run --release --example hybrid_sort [log2_n]
@@ -47,15 +48,15 @@ fn main() {
 
     let mut seq_data = input.clone();
     let mut hpu = SimHpu::new(cfg.clone());
-    let seq = run_sim(&algo, &mut seq_data, &mut hpu, &Strategy::Sequential).unwrap();
+    let seq = run_sim(&algo, &mut seq_data, &mut hpu, &ScheduleSpec::Sequential).unwrap();
 
-    let strategy = Strategy::Advanced {
+    let spec = ScheduleSpec::Advanced {
         alpha: opt.alpha,
         transfer_level: (opt.transfer_level.round() as u32).clamp(1, log_n),
     };
     let mut data = input.clone();
     let mut hpu = SimHpu::new(cfg);
-    let report = run_sim(&algo, &mut data, &mut hpu, &strategy).unwrap();
+    let report = run_sim(&algo, &mut data, &mut hpu, &spec).unwrap();
     assert!(data.windows(2).all(|w| w[0] <= w[1]));
 
     println!(

@@ -37,13 +37,12 @@ fn main() {
     let n = 1 << 12;
     let algo = MergeSort::new();
     let rec = BfAlgorithm::<u32>::recurrence(&algo);
-    let predicted = auto_advanced(&cfg, &rec, n as u64).unwrap();
-    let (alpha_pred, y_pred) = match predicted {
-        Strategy::Advanced {
-            alpha,
-            transfer_level,
-        } => (alpha, transfer_level),
-        _ => unreachable!(),
+    let ScheduleSpec::Advanced {
+        alpha: alpha_pred,
+        transfer_level: y_pred,
+    } = auto_advanced(&cfg, &rec, n as u64).unwrap()
+    else {
+        unreachable!("auto_advanced resolves to ScheduleSpec::Advanced")
     };
     let alphas: Vec<f64> = (1..=8).map(|k| k as f64 * 0.05).collect();
     let ys: Vec<u32> = (y_pred.saturating_sub(2).max(1)..=(y_pred + 2).min(12)).collect();

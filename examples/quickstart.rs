@@ -1,5 +1,6 @@
-//! Quickstart: sort on a simulated hybrid machine with every scheduling
-//! strategy and compare their virtual times.
+//! Quickstart: sort on a simulated hybrid machine under every
+//! [`ScheduleSpec`] and compare their virtual times. Each schedule compiles
+//! to one execution plan that the one generic interpreter runs.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -30,23 +31,23 @@ fn main() {
     let advanced = auto_advanced(&cfg, &rec, n as u64).expect("power-of-two size");
     println!("model-tuned advanced schedule: {advanced:?}\n");
 
-    let strategies = [
-        ("sequential (1 core)", Strategy::Sequential),
-        ("CPU-only (4 cores)", Strategy::CpuOnly),
-        ("GPU-only", Strategy::GpuOnly),
-        ("basic hybrid", Strategy::Basic { crossover: None }),
+    let schedules = [
+        ("sequential (1 core)", ScheduleSpec::Sequential),
+        ("CPU-parallel (4 cores)", ScheduleSpec::CpuParallel),
+        ("GPU-only", ScheduleSpec::GpuOnly),
+        ("basic hybrid", ScheduleSpec::Basic { crossover: None }),
         ("advanced hybrid", advanced),
     ];
 
     let mut base = None;
     println!(
         "{:<22} {:>16} {:>9} {:>10} {:>9}",
-        "strategy", "virtual time", "speedup", "transfers", "words"
+        "schedule", "virtual time", "speedup", "transfers", "words"
     );
-    for (name, strategy) in strategies {
+    for (name, spec) in schedules {
         let mut data = input.clone();
         let mut hpu = SimHpu::new(cfg.clone());
-        let report = run_sim(&algo, &mut data, &mut hpu, &strategy).expect("run succeeds");
+        let report = run_sim(&algo, &mut data, &mut hpu, &spec).expect("run succeeds");
         assert!(
             data.windows(2).all(|w| w[0] <= w[1]),
             "output must be sorted"

@@ -10,14 +10,11 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== proptest suite (optional) =="
-# tests/properties.rs needs the external proptest crate; the feature flag
-# alone is not enough. Run it only when the dependency is actually wired in.
-if grep -Eq '^proptest *= *"' Cargo.toml; then
-    cargo test -q --features proptest --test properties
-else
-    echo "proptest dependency not vendored; skipping (tests/randomized.rs covers the same properties)"
-fi
+echo "== frozen benchmark API =="
+# The benchmark crate under benchmark/ compiles against the workspace
+# crates; building and testing it here catches an API change that would
+# break it before the pipeline's paired benchmark runs do.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== chaos (fault-injection suite, three seeds) =="
 # The suite reads CHAOS_SEED (default 42); sweeping a few fixed seeds

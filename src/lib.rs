@@ -47,13 +47,19 @@
 //! // Sort 4096 keys with the model-tuned advanced hybrid schedule.
 //! let algo = MergeSort::new();
 //! let rec = BfAlgorithm::<u32>::recurrence(&algo);
-//! let strategy = auto_advanced(hpu.config(), &rec, 4096).unwrap();
+//! let spec = auto_advanced(hpu.config(), &rec, 4096).unwrap();
 //! let mut data: Vec<u32> = (0..4096u32).rev().collect();
-//! let report = run_sim(&algo, &mut data, &mut hpu, &strategy).unwrap();
+//! let report = run_sim(&algo, &mut data, &mut hpu, &spec).unwrap();
 //!
 //! assert!(data.windows(2).all(|w| w[0] <= w[1]));
 //! assert_eq!(report.transfers, 2); // the advanced schedule's guarantee
+//! assert_eq!(report.resolved, spec); // the plan ran the tuned (α, y)
 //! ```
+//!
+//! Every [`ScheduleSpec`](model::ScheduleSpec) compiles to one execution
+//! plan that one interpreter runs; [`core::exec::run_sim_plan`] runs an
+//! already-compiled plan with retries, metering or checkpoint resume
+//! chosen by [`core::exec::RunOpts`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,13 +77,11 @@ pub use hpu_serve as serve;
 pub mod prelude {
     pub use hpu_algos::mergesort::MergeSort;
     pub use hpu_algos::sum::DcSum;
-    pub use hpu_core::exec::{
-        run_native, run_native_report, run_sim, NativeReport, RunReport, Strategy,
-    };
+    pub use hpu_core::exec::{run_native, run_native_report, run_sim, NativeReport, RunReport};
     pub use hpu_core::pool::LevelPool;
     pub use hpu_core::tune::{auto_advanced, auto_strategy};
     pub use hpu_core::{BfAlgorithm, Charge, CoreError, DivideConquer};
     pub use hpu_estimate::estimate_params;
     pub use hpu_machine::{MachineConfig, SimHpu};
-    pub use hpu_model::{MachineParams, Recurrence};
+    pub use hpu_model::{MachineParams, Recurrence, ScheduleSpec};
 }

@@ -3,7 +3,6 @@
 //! hostile.
 
 use hpu::prelude::*;
-use hpu_core::exec::Strategy;
 use hpu_machine::{GpuConfig, MachineError};
 
 fn tiny_device(mem_bytes: usize) -> MachineConfig {
@@ -24,7 +23,13 @@ fn gpu_only_on_undersized_device_reports_oom() {
     let mut data: Vec<u32> = (0..n as u32).rev().collect();
     let before = data.clone();
     let mut hpu = SimHpu::new(cfg);
-    let err = run_sim(&MergeSort::new(), &mut data, &mut hpu, &Strategy::GpuOnly).unwrap_err();
+    let err = run_sim(
+        &MergeSort::new(),
+        &mut data,
+        &mut hpu,
+        &ScheduleSpec::GpuOnly,
+    )
+    .unwrap_err();
     assert!(matches!(
         err,
         CoreError::Machine(MachineError::OutOfDeviceMemory { .. })
@@ -44,7 +49,7 @@ fn advanced_on_undersized_device_releases_buffers() {
         &MergeSort::new(),
         &mut data,
         &mut hpu,
-        &Strategy::Advanced {
+        &ScheduleSpec::Advanced {
             alpha: 0.1,
             transfer_level: 2,
         },
@@ -56,7 +61,13 @@ fn advanced_on_undersized_device_releases_buffers() {
     ));
     assert_eq!(hpu.gpu.allocated_bytes(), 0);
     // The machine stays usable: a CPU-only run succeeds afterwards.
-    run_sim(&MergeSort::new(), &mut data, &mut hpu, &Strategy::CpuOnly).unwrap();
+    run_sim(
+        &MergeSort::new(),
+        &mut data,
+        &mut hpu,
+        &ScheduleSpec::CpuParallel,
+    )
+    .unwrap();
     assert!(data.windows(2).all(|w| w[0] <= w[1]));
 }
 
@@ -97,7 +108,7 @@ fn lying_kernel_is_caught_by_bounds_validation() {
 
     let mut data: Vec<u32> = (0..64).collect();
     let mut hpu = SimHpu::new(MachineConfig::tiny());
-    let err = run_sim(&Liar, &mut data, &mut hpu, &Strategy::GpuOnly).unwrap_err();
+    let err = run_sim(&Liar, &mut data, &mut hpu, &ScheduleSpec::GpuOnly).unwrap_err();
     assert!(matches!(
         err,
         CoreError::Machine(MachineError::OutOfBounds { .. })
@@ -142,7 +153,7 @@ fn racy_kernel_is_caught_in_strict_mode() {
     // MachineConfig::tiny() has strict mode on.
     let mut data: Vec<u32> = (0..64).collect();
     let mut hpu = SimHpu::new(MachineConfig::tiny());
-    let err = run_sim(&Racy, &mut data, &mut hpu, &Strategy::GpuOnly).unwrap_err();
+    let err = run_sim(&Racy, &mut data, &mut hpu, &ScheduleSpec::GpuOnly).unwrap_err();
     assert!(matches!(
         err,
         CoreError::Machine(MachineError::WriteOverlap { .. })
@@ -160,7 +171,7 @@ fn alpha_extremes_are_clamped_not_crashed() {
             &MergeSort::new(),
             &mut data,
             &mut hpu,
-            &Strategy::Advanced {
+            &ScheduleSpec::Advanced {
                 alpha,
                 transfer_level: 4,
             },
@@ -180,7 +191,7 @@ fn out_of_range_alpha_is_rejected() {
             &MergeSort::new(),
             &mut data,
             &mut hpu,
-            &Strategy::Advanced {
+            &ScheduleSpec::Advanced {
                 alpha,
                 transfer_level: 4,
             },

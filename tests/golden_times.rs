@@ -4,7 +4,6 @@
 //! factors or transfer costs shows up here first.
 
 use hpu::prelude::*;
-use hpu_core::exec::Strategy;
 use hpu_machine::{BusConfig, CpuConfig, GpuConfig};
 
 /// A machine with friendly round numbers: 2 cores, 4 lanes, γ⁻¹ = 10,
@@ -36,7 +35,7 @@ fn sequential_sum_time_is_exact() {
     //   total                                    = 52
     let mut data: Vec<u64> = (1..=8).collect();
     let mut hpu = SimHpu::new(round_machine());
-    let report = run_sim(&DcSum, &mut data, &mut hpu, &Strategy::Sequential).unwrap();
+    let report = run_sim(&DcSum, &mut data, &mut hpu, &ScheduleSpec::Sequential).unwrap();
     assert_eq!(report.virtual_time, 52.0);
     assert_eq!(data[0], 36); // and the sum itself
 }
@@ -50,7 +49,7 @@ fn cpu_parallel_sum_time_is_exact() {
     //   total                                    = 28
     let mut data: Vec<u64> = (1..=8).collect();
     let mut hpu = SimHpu::new(round_machine());
-    let report = run_sim(&DcSum, &mut data, &mut hpu, &Strategy::CpuOnly).unwrap();
+    let report = run_sim(&DcSum, &mut data, &mut hpu, &ScheduleSpec::CpuParallel).unwrap();
     assert_eq!(report.virtual_time, 28.0);
 }
 
@@ -69,7 +68,7 @@ fn gpu_only_sum_time_is_exact() {
     //   total                                               = 416
     let mut data: Vec<u64> = (1..=8).collect();
     let mut hpu = SimHpu::new(round_machine());
-    let report = run_sim(&DcSum, &mut data, &mut hpu, &Strategy::GpuOnly).unwrap();
+    let report = run_sim(&DcSum, &mut data, &mut hpu, &ScheduleSpec::GpuOnly).unwrap();
     assert_eq!(report.virtual_time, 416.0);
     assert_eq!(report.transfers, 2);
     assert_eq!(report.words, 16);
@@ -95,7 +94,7 @@ fn advanced_sum_phases_are_exact() {
         &DcSum,
         &mut data,
         &mut hpu,
-        &Strategy::Advanced {
+        &ScheduleSpec::Advanced {
             alpha: 0.5,
             transfer_level: 1,
         },
@@ -125,7 +124,7 @@ fn llc_pressure_is_charged_exactly() {
     };
     let mut data: Vec<u64> = (1..=8).collect();
     let mut hpu = SimHpu::new(cfg);
-    let report = run_sim(&DcSum, &mut data, &mut hpu, &Strategy::Sequential).unwrap();
+    let report = run_sim(&DcSum, &mut data, &mut hpu, &ScheduleSpec::Sequential).unwrap();
     assert_eq!(report.virtual_time, 126.0);
 }
 
@@ -141,6 +140,6 @@ fn launch_overhead_is_charged_once_per_launch() {
     // → 416 − 2·108 (bus now free) + 4·1000 = 4200.
     let mut data: Vec<u64> = (1..=8).collect();
     let mut hpu = SimHpu::new(cfg);
-    let report = run_sim(&DcSum, &mut data, &mut hpu, &Strategy::GpuOnly).unwrap();
+    let report = run_sim(&DcSum, &mut data, &mut hpu, &ScheduleSpec::GpuOnly).unwrap();
     assert_eq!(report.virtual_time, 4200.0);
 }

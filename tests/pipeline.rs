@@ -32,7 +32,7 @@ fn estimate_model_schedule_execute() {
     assert!(opt.alpha > 0.0 && opt.alpha < 1.0);
 
     // 3. The schedule executes correctly with exactly two transfers.
-    let strategy = Strategy::Advanced {
+    let strategy = ScheduleSpec::Advanced {
         alpha: opt.alpha,
         transfer_level: (opt.transfer_level.round() as u32).clamp(1, 14),
     };
@@ -55,20 +55,20 @@ fn auto_strategy_picks_hybrid_on_strong_gpu_and_cpu_on_weak() {
     let strong = MachineConfig::hpu1_sim();
     assert!(matches!(
         auto_strategy(&strong, &rec, 1 << 20),
-        Strategy::Advanced { .. }
+        ScheduleSpec::Advanced { .. }
     ));
     let mut weak = MachineConfig::hpu1_sim();
     weak.gpu.lanes = 8; // γ·g = 0.05 < p
     assert!(matches!(
         auto_strategy(&weak, &rec, 1 << 20),
-        Strategy::CpuOnly
+        ScheduleSpec::CpuParallel
     ));
 }
 
 #[test]
 fn virtual_times_are_deterministic() {
     let n = 1 << 12;
-    let strategy = Strategy::Advanced {
+    let strategy = ScheduleSpec::Advanced {
         alpha: 0.2,
         transfer_level: 6,
     };
@@ -92,7 +92,7 @@ fn timeline_is_consistent_with_report() {
         &MergeSort::new(),
         &mut data,
         &mut hpu,
-        &Strategy::Basic { crossover: None },
+        &ScheduleSpec::Basic { crossover: None },
     )
     .unwrap();
     let tl = hpu.timeline();
@@ -115,12 +115,18 @@ fn multiple_algorithms_share_one_machine() {
     // correctness.
     let mut hpu = SimHpu::new(MachineConfig::hpu2_sim());
     let mut data = keys(1 << 10);
-    run_sim(&MergeSort::new(), &mut data, &mut hpu, &Strategy::CpuOnly).unwrap();
+    run_sim(
+        &MergeSort::new(),
+        &mut data,
+        &mut hpu,
+        &ScheduleSpec::CpuParallel,
+    )
+    .unwrap();
     let t1 = hpu.elapsed();
 
     let mut nums: Vec<u64> = (0..1024).map(|i| i * 3 + 1).collect();
     let expect: u64 = nums.iter().sum();
-    run_sim(&DcSum, &mut nums, &mut hpu, &Strategy::GpuOnly).unwrap();
+    run_sim(&DcSum, &mut nums, &mut hpu, &ScheduleSpec::GpuOnly).unwrap();
     assert_eq!(nums[0], expect);
     assert!(hpu.elapsed() > t1, "clock advances monotonically");
 }
@@ -146,7 +152,7 @@ fn scan_and_max_subarray_full_pipeline() {
         &MaxSubarray,
         &mut segs,
         &mut hpu,
-        &Strategy::Basic { crossover: None },
+        &ScheduleSpec::Basic { crossover: None },
     )
     .unwrap();
     assert_eq!(segs[0].best, max_subarray_reference(&raw));
@@ -175,7 +181,13 @@ fn native_and_simulated_agree() {
 
     let mut sim = keys(n);
     let mut hpu = SimHpu::new(MachineConfig::tiny());
-    run_sim(&MergeSort::new(), &mut sim, &mut hpu, &Strategy::CpuOnly).unwrap();
+    run_sim(
+        &MergeSort::new(),
+        &mut sim,
+        &mut hpu,
+        &ScheduleSpec::CpuParallel,
+    )
+    .unwrap();
     assert!(native == sim);
 }
 
@@ -185,7 +197,7 @@ fn run_reports_expose_coalescing_benefit() {
     let run = |algo: MergeSort| {
         let mut data = keys(n);
         let mut hpu = SimHpu::new(MachineConfig::hpu1_sim());
-        run_sim(&algo, &mut data, &mut hpu, &Strategy::GpuOnly).unwrap()
+        run_sim(&algo, &mut data, &mut hpu, &ScheduleSpec::GpuOnly).unwrap()
     };
     let co = run(MergeSort::new());
     let ge = run(MergeSort::generic());

@@ -1,17 +1,14 @@
-//! Randomized whole-stack tests: the always-on, dependency-free port of
-//! `tests/properties.rs` (which needs the external `proptest` crate and is
-//! gated behind the off-by-default `proptest` feature). A deterministic
-//! in-repo splitmix64 PRNG drives a fixed set of seeds, so failures
-//! reproduce exactly.
+//! Randomized whole-stack property tests. A deterministic in-repo
+//! splitmix64 PRNG drives a fixed set of seeds, so failures reproduce
+//! exactly.
 
 use hpu::prelude::*;
 use hpu_algos::max_subarray::{max_subarray_reference, to_segments, MaxSubarray};
 use hpu_algos::mergesort::gpu_parallel_mergesort;
 use hpu_algos::scan::{scan_reference, DcScan};
-use hpu_core::exec::{RecoveryPolicy, Strategy as Sched};
+use hpu_core::exec::RecoveryPolicy;
 use hpu_machine::FaultPlan;
 use hpu_model::advanced::AdvancedSolver;
-use hpu_model::ScheduleSpec;
 use hpu_obs::JobOutcome;
 use hpu_serve::{
     dispatch_order, serve_sim, AlgoJob, DeviceArbiter, FaultConfig, JobRequest, Policy, Rank,
@@ -66,13 +63,13 @@ fn mergesort_all_strategies_match_std_sort() {
         let levels = data.len().trailing_zeros();
 
         let mut strategies = vec![
-            Sched::Sequential,
-            Sched::CpuOnly,
-            Sched::GpuOnly,
-            Sched::Basic { crossover: None },
+            ScheduleSpec::Sequential,
+            ScheduleSpec::CpuParallel,
+            ScheduleSpec::GpuOnly,
+            ScheduleSpec::Basic { crossover: None },
         ];
         if levels >= 1 {
-            strategies.push(Sched::Advanced {
+            strategies.push(ScheduleSpec::Advanced {
                 alpha,
                 transfer_level: (levels / 2).max(1),
             });
@@ -96,8 +93,14 @@ fn coalesced_and_generic_gpu_agree() {
         let mut b = data;
         let mut h1 = SimHpu::new(small_machine());
         let mut h2 = SimHpu::new(small_machine());
-        run_sim(&MergeSort::new(), &mut a, &mut h1, &Sched::GpuOnly).unwrap();
-        run_sim(&MergeSort::generic(), &mut b, &mut h2, &Sched::GpuOnly).unwrap();
+        run_sim(&MergeSort::new(), &mut a, &mut h1, &ScheduleSpec::GpuOnly).unwrap();
+        run_sim(
+            &MergeSort::generic(),
+            &mut b,
+            &mut h2,
+            &ScheduleSpec::GpuOnly,
+        )
+        .unwrap();
         assert_eq!(a, b, "seed {seed}");
     }
 }
@@ -128,7 +131,7 @@ fn cutoff_mergesort_matches_std() {
         expect.sort_unstable();
         let algo = MergeSort::new().with_leaf_cutoff(cutoff);
         let mut hpu = SimHpu::new(small_machine());
-        run_sim(&algo, &mut data, &mut hpu, &Sched::GpuOnly).unwrap();
+        run_sim(&algo, &mut data, &mut hpu, &ScheduleSpec::GpuOnly).unwrap();
         assert_eq!(data, expect, "seed {seed}, cutoff {cutoff}");
     }
 }
@@ -142,7 +145,7 @@ fn sum_matches_iter_sum() {
         let n = data.len().next_power_of_two();
         data.resize(n, 0);
         let expect: u64 = data.iter().sum();
-        for strategy in [Sched::CpuOnly, Sched::GpuOnly] {
+        for strategy in [ScheduleSpec::CpuParallel, ScheduleSpec::GpuOnly] {
             let mut d = data.clone();
             let mut hpu = SimHpu::new(small_machine());
             run_sim(&DcSum, &mut d, &mut hpu, &strategy).unwrap();
@@ -162,7 +165,7 @@ fn scan_matches_reference() {
         let expect = scan_reference(&data);
         let mut d = data;
         let mut hpu = SimHpu::new(small_machine());
-        run_sim(&DcScan, &mut d, &mut hpu, &Sched::CpuOnly).unwrap();
+        run_sim(&DcScan, &mut d, &mut hpu, &ScheduleSpec::CpuParallel).unwrap();
         assert_eq!(d, expect, "seed {seed}");
     }
 }
@@ -178,7 +181,13 @@ fn max_subarray_matches_kadane() {
         padded.resize(n, 0); // zero padding does not change the optimum
         let mut segs = to_segments(&padded);
         let mut hpu = SimHpu::new(small_machine());
-        run_sim(&MaxSubarray, &mut segs, &mut hpu, &Sched::CpuOnly).unwrap();
+        run_sim(
+            &MaxSubarray,
+            &mut segs,
+            &mut hpu,
+            &ScheduleSpec::CpuParallel,
+        )
+        .unwrap();
         assert_eq!(segs[0].best, max_subarray_reference(&input), "seed {seed}");
     }
 }
@@ -345,11 +354,11 @@ fn arbiter_probes_and_commits_agree() {
 
 #[test]
 fn recovery_backoff_is_monotone_capped_and_pure() {
-    // Mirror of the proptest property: for any policy with a growth
-    // factor ≥ 1, `backoff_at` is non-decreasing in the attempt index,
-    // never exceeds `max_backoff`, stays finite whenever the cap is
-    // (even where `factor^attempt` overflows to ∞), and is a pure
-    // function of the policy — equal inputs give bit-equal backoffs.
+    // For any policy with a growth factor ≥ 1, `backoff_at` is
+    // non-decreasing in the attempt index, never exceeds `max_backoff`,
+    // stays finite whenever the cap is (even where `factor^attempt`
+    // overflows to ∞), and is a pure function of the policy — equal
+    // inputs give bit-equal backoffs.
     for seed in SEEDS {
         let mut rng = Rng(seed);
         for _ in 0..40 {
@@ -385,11 +394,10 @@ fn recovery_backoff_is_monotone_capped_and_pure() {
 
 #[test]
 fn serving_under_faults_accounts_for_every_job() {
-    // Mirror of the proptest property: whatever faults are injected —
-    // transient kernel/transfer faults at arbitrary rates, optionally a
-    // permanent device loss — the scheduler must account for every
-    // submission exactly once with a typed terminal state, and a
-    // transient-only plan must lose no job at all.
+    // Whatever faults are injected — transient kernel/transfer faults at
+    // arbitrary rates, optionally a permanent device loss — the scheduler
+    // must account for every submission exactly once with a typed
+    // terminal state, and a transient-only plan must lose no job at all.
     for seed in SEEDS {
         let mut rng = Rng(seed);
         let jobs = 2 + rng.below(6) as usize;
@@ -462,12 +470,12 @@ fn one_node_fleet_is_observationally_identical_to_serve_sim() {
     use hpu_machine::SimMachineParams;
     use hpu_model::CalibratorConfig;
 
-    // Mirror of the proptest property: a 1-node fleet under the trivial
-    // round-robin router IS plain `serve_sim` — same outcomes, same
-    // latencies, same device leases, same calibration generations, seed
-    // for seed. The node's beliefs are mis-specified (2x gamma) with the
-    // calibration loop on, so the equivalence also covers drift-triggered
-    // replans and generation bumps.
+    // A 1-node fleet under the trivial round-robin router IS plain
+    // `serve_sim` — same outcomes, same latencies, same device leases,
+    // same calibration generations, seed for seed. The node's beliefs are
+    // mis-specified (2x gamma) with the calibration loop on, so the
+    // equivalence also covers drift-triggered replans and generation
+    // bumps.
     for seed in SEEDS {
         let mut rng = Rng(seed);
         let jobs = 2 + rng.below(8) as usize;
@@ -545,9 +553,14 @@ fn virtual_time_scales_with_work() {
         let run_at = |n: usize| {
             let mut data: Vec<u32> = (0..n as u32).rev().collect();
             let mut hpu = SimHpu::new(small_machine());
-            run_sim(&MergeSort::new(), &mut data, &mut hpu, &Sched::CpuOnly)
-                .unwrap()
-                .virtual_time
+            run_sim(
+                &MergeSort::new(),
+                &mut data,
+                &mut hpu,
+                &ScheduleSpec::CpuParallel,
+            )
+            .unwrap()
+            .virtual_time
         };
         let t1 = run_at(1 << n_log);
         let t2 = run_at(1 << (n_log + 1));
