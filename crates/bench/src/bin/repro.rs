@@ -13,9 +13,6 @@
 //! repro batch [--jobs N] [--rates R,R,...] [--native] [--seed S]
 //!             [--out DIR]
 //! repro recover [--jobs N] [--rates P,P,...] [--seed S] [--out DIR]
-//! repro perf [--label L] [--quick] [--seed S] [--seq N] [--out DIR]
-//! repro perf --compare OLD NEW [--threshold T] [--smoke]
-//! repro perf --compare-newest DIR NEW [--threshold T] [--smoke]
 //!
 //! EXPERIMENT: table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 //!             ablation-coalescing ablation-schedule extension-workloads
@@ -75,19 +72,10 @@
 //!             fixed seed the rows are byte-identical across runs (CSV
 //!             lands in DIR/recover.csv with --out); defaults: 16 jobs,
 //!             rates 0,0.15,0.3,0.6, seed 42
-//! perf        run the pinned perf matrix (admission latency, native
-//!             throughput, interpret-vs-direct overhead, plan-compile
-//!             time, serve goodput, fleet scaling) and write a
-//!             schema-versioned BENCH_<label>.json snapshot with
-//!             trajectory position --seq to --out (default `.`); with
-//!             --compare, diff two snapshots instead and exit 1 when any
-//!             metric moved in its bad direction by more than --threshold
-//!             (relative, default 0.15) — --smoke only checks schema and
-//!             metric presence, for noisy CI runners; --compare-newest
-//!             picks the baseline automatically: the highest-seq
-//!             BENCH_*.json under DIR
 //!
-//! Every mode accepts --help; unknown flags exit with status 2.
+//! Every mode accepts --help; unknown flags and malformed values exit
+//! with status 2. Offered-load rates (serve, fleet, batch) must be
+//! positive.
 //! ```
 
 use std::io::Write;
@@ -292,394 +280,150 @@ node crashes at each crash rate, once per checkpoint policy (off,
 everylevel), and prints one CSV row per (policy, rate): goodput, MTTR,
 jobs recovered vs restarted, and the completed levels the checkpoints
 saved from re-execution. Defaults: 16 jobs, rates 0,0.15,0.3,0.6, seed 42.";
-const PERF_USAGE: &str = "usage: repro perf [--label L] [--quick] [--seed S] [--seq N] [--out DIR]
-       repro perf --compare OLD NEW [--threshold T] [--smoke]
-       repro perf --compare-newest DIR NEW [--threshold T] [--smoke]
-
-Runs the pinned perf matrix and writes BENCH_<label>.json (label defaults
-to `dev`, --out to `.`, --seq stamps the snapshot's position on the
-committed trajectory), or diffs two snapshots and exits 1 when any
-metric regressed past --threshold (relative, default 0.15). --smoke only
-checks schema and metric presence. --compare-newest diffs NEW against
-the highest-seq BENCH_*.json snapshot under DIR.";
 const TOP_USAGE: &str = "usage: repro [EXPERIMENT ...] [--full] [--out DIR] [--trace DIR]
        repro plan EXPERIMENT [...] [--passes] [--full] [--out DIR]
-       repro plan|serve|chaos|calibrate|fleet|batch|recover|perf [--help]
+       repro plan|serve|chaos|calibrate|fleet|batch|recover [--help]
 
 EXPERIMENT: table1 table2 fig3..fig10 ablation-coalescing
             ablation-schedule extension-workloads all (default: all)";
 
-/// `repro serve [--jobs N] [--rates R,..] [--backend B] [--seed S] [--out DIR]`.
-fn serve_mode(rest: &[String]) {
-    validate_flags(
-        rest,
-        &[
-            ("--jobs", 1),
-            ("--rates", 1),
-            ("--backend", 1),
-            ("--seed", 1),
-            ("--out", 1),
-        ],
-        SERVE_USAGE,
-    );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(32);
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("0.5,2")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    let backend = match flag_value(rest, "--backend").unwrap_or("both") {
-        "sim" => hpu_bench::ServeBackend::Sim,
-        "native" => hpu_bench::ServeBackend::Native,
-        "both" => hpu_bench::ServeBackend::Both,
-        other => {
-            eprintln!("unknown --backend: {other} (expected sim, native or both)");
-            std::process::exit(2);
+/// One sweep mode's validated argument list. Every value falls back to
+/// the mode's default when its flag is absent; a malformed value prints
+/// the mode's usage to stderr and exits 2, as an unknown flag does.
+struct SweepArgs<'a> {
+    rest: &'a [String],
+    usage: &'a str,
+}
+
+impl SweepArgs<'_> {
+    fn reject(&self, msg: &str) -> ! {
+        eprintln!("{msg}\n{}", self.usage);
+        std::process::exit(2);
+    }
+
+    fn parse<T: std::str::FromStr>(&self, flag: &str, v: &str) -> T {
+        v.trim()
+            .parse()
+            .unwrap_or_else(|_| self.reject(&format!("invalid {flag} value: {v:?}")))
+    }
+
+    fn value<T: std::str::FromStr>(&self, flag: &str, default: &str) -> T {
+        self.parse(flag, flag_value(self.rest, flag).unwrap_or(default))
+    }
+
+    fn list<T: std::str::FromStr>(&self, flag: &str, default: &str) -> Vec<T> {
+        let values = flag_value(self.rest, flag).unwrap_or(default);
+        values.split(',').map(|v| self.parse(flag, v)).collect()
+    }
+
+    /// `--rates` as offered loads: multiples of a solo completion rate,
+    /// so each must be positive.
+    fn offered_rates(&self, default: &str) -> Vec<f64> {
+        let rates: Vec<f64> = self.list("--rates", default);
+        if !rates.iter().all(|r| r.is_finite() && *r > 0.0) {
+            self.reject("--rates are offered loads and must be positive");
         }
-    };
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::serve_fleet(jobs, &rates, backend, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/serve.csv"), csv.render()).expect("write serve CSV");
+        rates
     }
-}
 
-/// `repro chaos [--jobs N] [--rates R,..] [--backend B] [--seed S] [--out DIR]`.
-fn chaos_mode(rest: &[String]) {
-    validate_flags(
-        rest,
-        &[
-            ("--jobs", 1),
-            ("--rates", 1),
-            ("--backend", 1),
-            ("--seed", 1),
-            ("--out", 1),
-        ],
-        CHAOS_USAGE,
-    );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(16);
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("0,0.05,0.2,0.5")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    if rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
-        eprintln!("--rates are fault probabilities and must lie in [0, 1]");
-        std::process::exit(2);
-    }
-    let backend = match flag_value(rest, "--backend").unwrap_or("both") {
-        "sim" => hpu_bench::ServeBackend::Sim,
-        "native" => hpu_bench::ServeBackend::Native,
-        "both" => hpu_bench::ServeBackend::Both,
-        other => {
-            eprintln!("unknown --backend: {other} (expected sim, native or both)");
-            std::process::exit(2);
+    /// `--rates` as `what` probabilities in [0, 1].
+    fn probabilities(&self, default: &str, what: &str) -> Vec<f64> {
+        let rates: Vec<f64> = self.list("--rates", default);
+        if !rates.iter().all(|r| (0.0..=1.0).contains(r)) {
+            self.reject(&format!(
+                "--rates are {what} probabilities and must lie in [0, 1]"
+            ));
         }
+        rates
+    }
+
+    fn backend(&self) -> hpu_bench::ServeBackend {
+        match flag_value(self.rest, "--backend").unwrap_or("both") {
+            "sim" => hpu_bench::ServeBackend::Sim,
+            "native" => hpu_bench::ServeBackend::Native,
+            "both" => hpu_bench::ServeBackend::Both,
+            other => self.reject(&format!(
+                "unknown --backend: {other} (expected sim, native or both)"
+            )),
+        }
+    }
+}
+
+/// `repro serve|calibrate|chaos|fleet|batch|recover [...]`: runs one
+/// serving sweep, prints its CSV and, with `--out DIR`, also writes it to
+/// `DIR/<mode>.csv`.
+fn sweep_mode(mode: &str, rest: &[String]) {
+    let (extra, usage): (&[(&str, usize)], &str) = match mode {
+        "serve" => (&[("--rates", 1), ("--backend", 1)], SERVE_USAGE),
+        "chaos" => (&[("--rates", 1), ("--backend", 1)], CHAOS_USAGE),
+        "calibrate" => (&[("--gamma-skew", 1)], CALIBRATE_USAGE),
+        "fleet" => (&[("--nodes", 1), ("--rates", 1)], FLEET_USAGE),
+        "batch" => (&[("--rates", 1), ("--native", 0)], BATCH_USAGE),
+        _ => (&[("--rates", 1)], RECOVER_USAGE),
     };
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::chaos_sweep(jobs, &rates, backend, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/chaos.csv"), csv.render()).expect("write chaos CSV");
-    }
-}
-
-/// `repro calibrate [--jobs N] [--gamma-skew K] [--seed S] [--out DIR]`.
-fn calibrate_mode(rest: &[String]) {
-    validate_flags(
-        rest,
-        &[
-            ("--jobs", 1),
-            ("--gamma-skew", 1),
-            ("--seed", 1),
-            ("--out", 1),
-        ],
-        CALIBRATE_USAGE,
-    );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(24);
-    let gamma_skew: f64 = flag_value(rest, "--gamma-skew")
-        .map(|v| v.parse().expect("--gamma-skew takes a number"))
-        .unwrap_or(2.0);
-    if !(gamma_skew.is_finite() && gamma_skew > 0.0) {
-        eprintln!("--gamma-skew must be a positive finite number, got {gamma_skew}");
-        std::process::exit(2);
-    }
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::calibrate_sweep(jobs, gamma_skew, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/calibrate.csv"), csv.render()).expect("write calibrate CSV");
-    }
-}
-
-/// `repro fleet [--jobs N] [--nodes N,..] [--rates R,..] [--seed S] [--out DIR]`.
-fn fleet_mode(rest: &[String]) {
-    validate_flags(
-        rest,
-        &[
-            ("--jobs", 1),
-            ("--nodes", 1),
-            ("--rates", 1),
-            ("--seed", 1),
-            ("--out", 1),
-        ],
-        FLEET_USAGE,
-    );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(32);
-    let node_counts: Vec<usize> = flag_value(rest, "--nodes")
-        .unwrap_or("1,2,4")
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .expect("--nodes takes comma-separated integers")
-        })
-        .collect();
-    if node_counts.contains(&0) {
-        eprintln!("--nodes counts must be at least 1");
-        std::process::exit(2);
-    }
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("1,6,96")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::fleet_scaling(jobs, &node_counts, &rates, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/fleet.csv"), csv.render()).expect("write fleet CSV");
-    }
-}
-
-/// `repro batch [--jobs N] [--rates R,..] [--native] [--seed S] [--out DIR]`.
-fn batch_mode(rest: &[String]) {
-    validate_flags(
-        rest,
-        &[
-            ("--jobs", 1),
-            ("--rates", 1),
-            ("--native", 0),
-            ("--seed", 1),
-            ("--out", 1),
-        ],
-        BATCH_USAGE,
-    );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(24);
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("1,2,3,4,6,8")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    let native = rest.iter().any(|a| a == "--native");
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::batch_curve(jobs, &rates, native, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/batch.csv"), csv.render()).expect("write batch CSV");
-    }
-}
-
-/// `repro recover [--jobs N] [--rates P,..] [--seed S] [--out DIR]`.
-fn recover_mode(rest: &[String]) {
-    validate_flags(
-        rest,
-        &[("--jobs", 1), ("--rates", 1), ("--seed", 1), ("--out", 1)],
-        RECOVER_USAGE,
-    );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(16);
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("0,0.15,0.3,0.6")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    if rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
-        eprintln!("--rates are crash probabilities and must lie in [0, 1]");
-        std::process::exit(2);
-    }
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::recover_sweep(jobs, &rates, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/recover.csv"), csv.render()).expect("write recover CSV");
-    }
-}
-
-/// Reads and parses one snapshot file, exiting 2 on failure.
-fn read_snapshot(path: &str) -> hpu_bench::PerfSnapshot {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    hpu_bench::PerfSnapshot::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Diffs `new` against `old`, prints the delta table, and exits 1 when
-/// any metric regressed (or the schemas refuse to diff).
-fn diff_snapshots(old: &hpu_bench::PerfSnapshot, new: &hpu_bench::PerfSnapshot, rest: &[String]) {
-    let threshold: f64 = flag_value(rest, "--threshold")
-        .map(|v| v.parse().expect("--threshold takes a number"))
-        .unwrap_or(0.15);
-    let smoke = rest.iter().any(|a| a == "--smoke");
-    match hpu_bench::compare(old, new, threshold, smoke) {
-        Ok(deltas) => {
-            print!("{}", hpu_bench::render_deltas(&deltas));
-            let regressed = deltas.iter().filter(|d| d.regressed).count();
-            if regressed > 0 {
-                eprintln!("{regressed} metric(s) regressed past threshold {threshold}");
-                std::process::exit(1);
+    let mut flags = vec![("--jobs", 1), ("--seed", 1), ("--out", 1)];
+    flags.extend_from_slice(extra);
+    validate_flags(rest, &flags, usage);
+    let args = SweepArgs { rest, usage };
+    let seed: u64 = args.value("--seed", "42");
+    let csv = match mode {
+        "serve" => hpu_bench::serve_fleet(
+            args.value("--jobs", "32"),
+            &args.offered_rates("0.5,2"),
+            args.backend(),
+            seed,
+        ),
+        "calibrate" => {
+            let jobs = args.value("--jobs", "24");
+            let gamma_skew: f64 = args.value("--gamma-skew", "2");
+            if !(gamma_skew.is_finite() && gamma_skew > 0.0) {
+                args.reject(&format!(
+                    "--gamma-skew must be a positive finite number, got {gamma_skew}"
+                ));
             }
-            println!("no regressions ({} metric(s) compared)", deltas.len());
+            hpu_bench::calibrate_sweep(jobs, gamma_skew, seed)
         }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
+        "chaos" => hpu_bench::chaos_sweep(
+            args.value("--jobs", "16"),
+            &args.probabilities("0,0.05,0.2,0.5", "fault"),
+            args.backend(),
+            seed,
+        ),
+        "fleet" => {
+            let jobs = args.value("--jobs", "32");
+            let node_counts: Vec<usize> = args.list("--nodes", "1,2,4");
+            if node_counts.contains(&0) {
+                args.reject("--nodes counts must be at least 1");
+            }
+            hpu_bench::fleet_scaling(jobs, &node_counts, &args.offered_rates("1,6,96"), seed)
         }
+        "batch" => hpu_bench::batch_curve(
+            args.value("--jobs", "24"),
+            &args.offered_rates("1,2,3,4,6,8"),
+            rest.iter().any(|a| a == "--native"),
+            seed,
+        ),
+        _ => hpu_bench::recover_sweep(
+            args.value("--jobs", "16"),
+            &args.probabilities("0,0.15,0.3,0.6", "crash"),
+            seed,
+        ),
+    };
+    print!("{}", csv.render());
+    if let Some(dir) = flag_value(rest, "--out") {
+        std::fs::create_dir_all(dir).expect("create --out directory");
+        std::fs::write(format!("{dir}/{mode}.csv"), csv.render()).expect("write sweep CSV");
     }
-}
-
-/// `repro perf [--label L] [--quick] [--seed S] [--seq N] [--out DIR]`,
-/// `repro perf --compare OLD NEW [--threshold T] [--smoke]` or
-/// `repro perf --compare-newest DIR NEW [--threshold T] [--smoke]`.
-fn perf_mode(rest: &[String]) {
-    validate_flags(
-        rest,
-        &[
-            ("--label", 1),
-            ("--quick", 0),
-            ("--seed", 1),
-            ("--seq", 1),
-            ("--out", 1),
-            ("--compare", 2),
-            ("--compare-newest", 2),
-            ("--threshold", 1),
-            ("--smoke", 0),
-        ],
-        PERF_USAGE,
-    );
-    if let Some(i) = rest.iter().position(|a| a == "--compare") {
-        let old = read_snapshot(&rest[i + 1]);
-        let new = read_snapshot(&rest[i + 2]);
-        diff_snapshots(&old, &new, rest);
-        return;
-    }
-    if let Some(i) = rest.iter().position(|a| a == "--compare-newest") {
-        let dir = std::path::Path::new(&rest[i + 1]);
-        let (base_path, old) = hpu_bench::newest_snapshot(dir).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        eprintln!("baseline: {} (seq {})", base_path.display(), old.seq);
-        let new = read_snapshot(&rest[i + 2]);
-        diff_snapshots(&old, &new, rest);
-        return;
-    }
-    let label = flag_value(rest, "--label").unwrap_or("dev");
-    let quick = rest.iter().any(|a| a == "--quick");
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let seq: u64 = flag_value(rest, "--seq")
-        .map(|v| v.parse().expect("--seq takes an integer"))
-        .unwrap_or(0);
-    let out_dir = flag_value(rest, "--out").unwrap_or(".");
-    let mut snap = hpu_bench::collect_perf(label, quick, seed);
-    snap.seq = seq;
-    let json = snap.to_json();
-    println!("{json}");
-    std::fs::create_dir_all(out_dir).expect("create --out directory");
-    let path = format!("{out_dir}/BENCH_{label}.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH snapshot");
-    eprintln!("wrote {path}");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("plan") {
-        plan_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        serve_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("calibrate") {
-        calibrate_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        chaos_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        fleet_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("batch") {
-        batch_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("recover") {
-        recover_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("perf") {
-        perf_mode(&args[1..]);
-        return;
+    match args.first().map(String::as_str) {
+        Some("plan") => return plan_mode(&args[1..]),
+        Some(mode @ ("serve" | "calibrate" | "chaos" | "fleet" | "batch" | "recover")) => {
+            return sweep_mode(mode, &args[1..]);
+        }
+        _ => {}
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{TOP_USAGE}");

@@ -284,11 +284,4 @@ mod tests {
             assert!(w[1] <= w[0] + 1e-9, "goodput must not improve: {g:?}");
         }
     }
-
-    #[test]
-    fn chaos_sweep_is_deterministic() {
-        let a = chaos_sweep(8, &[0.1], ServeBackend::Sim, 7);
-        let b = chaos_sweep(8, &[0.1], ServeBackend::Sim, 7);
-        assert_eq!(a, b);
-    }
 }

@@ -75,21 +75,6 @@ pub(crate) fn recover_stream(jobs: usize) -> Vec<FleetJobRequest> {
         .collect()
 }
 
-/// Smallest seed at or above `seed` whose fault plan crashes exactly
-/// one of the 4 nodes at `rate` — the pinned single-crash scenario,
-/// found by replaying the same subset-stable draws the fleet will.
-pub(crate) fn one_crash_seed(seed: u64, rate: f64) -> u64 {
-    (seed..seed + 10_000)
-        .find(|&s| {
-            let plan = NodeFaultPlan::new(s).with_crash_rate(rate);
-            (0..NODES as u64)
-                .filter(|&i| plan.fault_for(i).is_some())
-                .count()
-                == 1
-        })
-        .expect("some seed crashes exactly one node")
-}
-
 /// One sweep point: the pinned stream on the pinned fleet under
 /// `(policy, crash_rate)`.
 pub(crate) fn recover_point(
@@ -166,6 +151,21 @@ pub fn recover_sweep(jobs: usize, crash_rates: &[f64], seed: u64) -> Csv {
 mod tests {
     use super::*;
 
+    /// Smallest seed at or above `seed` whose fault plan crashes exactly
+    /// one of the 4 nodes at `rate` — the pinned single-crash scenario,
+    /// found by replaying the same subset-stable draws the fleet will.
+    fn one_crash_seed(seed: u64, rate: f64) -> u64 {
+        (seed..seed + 10_000)
+            .find(|&s| {
+                let plan = NodeFaultPlan::new(s).with_crash_rate(rate);
+                (0..NODES as u64)
+                    .filter(|&i| plan.fault_for(i).is_some())
+                    .count()
+                    == 1
+            })
+            .expect("some seed crashes exactly one node")
+    }
+
     /// ISSUE acceptance: at a crash rate that kills one node mid-run,
     /// `EveryLevel` checkpointing completes strictly more level-work
     /// without re-execution than restart-from-scratch — `levels_saved`
@@ -206,39 +206,5 @@ mod tests {
                 assert_eq!(r[col], "0", "{r:?}");
             }
         }
-    }
-
-    #[test]
-    fn recover_sweep_is_deterministic() {
-        let seed = one_crash_seed(42, 0.3);
-        let a = recover_sweep(12, &[0.0, 0.3], seed);
-        let b = recover_sweep(12, &[0.0, 0.3], seed);
-        assert_eq!(a, b);
-        assert_eq!(a.rows.len(), 4);
-        assert_eq!(a.header.len(), a.rows[0].len());
-    }
-
-    /// Schema-growth guard: the `repro recover` CSV header is pinned —
-    /// downstream parsers key on these exact columns in this order.
-    #[test]
-    fn recover_csv_header_is_pinned() {
-        let csv = recover_sweep(1, &[0.0], 42);
-        assert_eq!(
-            csv.header,
-            vec![
-                "policy",
-                "crash_rate",
-                "submitted",
-                "completed",
-                "goodput",
-                "mttr",
-                "crashes",
-                "node_downs",
-                "jobs_recovered",
-                "jobs_restarted",
-                "levels_saved",
-                "checkpoint_bytes",
-            ]
-        );
     }
 }

@@ -383,11 +383,4 @@ mod tests {
             "late jobs should be priced under a recalibrated generation"
         );
     }
-
-    #[test]
-    fn calibrate_sweep_is_deterministic() {
-        let a = calibrate_sweep(8, 2.0, 7);
-        let b = calibrate_sweep(8, 2.0, 7);
-        assert_eq!(a, b);
-    }
 }

@@ -194,9 +194,9 @@ fn every_mode_answers_help_with_exit_zero() {
         (vec!["chaos", "--help"], "usage: repro chaos"),
         (vec!["calibrate", "--help"], "usage: repro calibrate"),
         (vec!["fleet", "--help"], "usage: repro fleet"),
+        (vec!["batch", "--help"], "usage: repro batch"),
         (vec!["recover", "--help"], "usage: repro recover"),
-        (vec!["perf", "--help"], "usage: repro perf"),
-        (vec!["perf", "-h"], "usage: repro perf"),
+        (vec!["recover", "-h"], "usage: repro recover"),
     ] {
         let output = repro().args(&args).output().expect("run repro");
         assert!(
@@ -214,7 +214,7 @@ fn every_mode_answers_help_with_exit_zero() {
 
 #[test]
 fn help_lists_seed_and_out_flags() {
-    for mode in ["serve", "chaos", "calibrate", "fleet", "recover", "perf"] {
+    for mode in ["serve", "chaos", "calibrate", "fleet", "batch", "recover"] {
         let output = repro().args([mode, "--help"]).output().expect("run repro");
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(
@@ -236,8 +236,8 @@ fn unknown_flags_exit_two_with_usage() {
         vec!["chaos", "--nope", "3"],
         vec!["calibrate", "--jbos", "4"],
         vec!["fleet", "--ndoes", "1,2"],
+        vec!["batch", "--nativ"],
         vec!["recover", "--rtaes", "0.3"],
-        vec!["perf", "--labell", "x"],
         vec!["--frobnicate"],
     ] {
         let output = repro().args(&args).output().expect("run repro");
@@ -256,80 +256,32 @@ fn unknown_flags_exit_two_with_usage() {
     }
 }
 
+/// A missing or malformed flag value prints the mode's usage and exits 2
+/// instead of panicking or sweeping a load that is not positive.
 #[test]
 fn valued_flag_without_value_exits_two() {
-    let output = repro()
-        .args(["serve", "--jobs"])
-        .output()
-        .expect("run repro");
-    assert_eq!(output.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("expects"));
-}
-
-#[test]
-fn perf_compare_gates_on_exit_code() {
-    let base = scratch("perf-compare");
-    std::fs::create_dir_all(&base).unwrap();
-    let snap = |latency: f64| {
-        format!(
-            "{{\"schema\":1,\"label\":\"t\",\"quick\":true,\"seed\":1,\
-             \"metrics\":{{\"serve_latency_p99\":{latency}}}}}"
-        )
-    };
-    let old = base.join("base.json");
-    let good = base.join("good.json");
-    let bad = base.join("bad.json");
-    std::fs::write(&old, snap(100.0)).unwrap();
-    std::fs::write(&good, snap(101.0)).unwrap();
-    std::fs::write(&bad, snap(200.0)).unwrap();
-
-    let ok = repro()
-        .args([
-            "perf",
-            "--compare",
-            old.to_str().unwrap(),
-            good.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run repro perf");
-    assert!(
-        ok.status.success(),
-        "{}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
-    assert!(String::from_utf8_lossy(&ok.stdout).contains("no regressions"));
-
-    // An injected 2x latency regression fails the gate with exit 1.
-    let fail = repro()
-        .args([
-            "perf",
-            "--compare",
-            old.to_str().unwrap(),
-            bad.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run repro perf");
-    assert_eq!(fail.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&fail.stdout).contains("REGRESSED"));
-
-    // Smoke mode ignores magnitude, so the same pair passes.
-    let smoke = repro()
-        .args([
-            "perf",
-            "--compare",
-            old.to_str().unwrap(),
-            bad.to_str().unwrap(),
-            "--smoke",
-        ])
-        .output()
-        .expect("run repro perf");
-    assert!(
-        smoke.status.success(),
-        "{}",
-        String::from_utf8_lossy(&smoke.stderr)
-    );
-
-    let _ = std::fs::remove_dir_all(&base);
+    for (args, needle) in [
+        (vec!["serve", "--jobs"], "expects"),
+        (vec!["serve", "--jobs", "abc"], "invalid --jobs value"),
+        (vec!["fleet", "--rates", "1,x"], "invalid --rates value"),
+        (vec!["serve", "--seed", "-1"], "invalid --seed value"),
+        (vec!["serve", "--rates", "-1"], "must be positive"),
+        (vec!["batch", "--rates", "0"], "must be positive"),
+    ] {
+        let output = repro().args(&args).output().expect("run repro");
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?} must exit 2: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage: repro {}", args[0])),
+            "{args:?} must echo the mode's usage: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -378,156 +330,4 @@ fn fleet_rejects_a_zero_node_count() {
         .expect("run repro fleet");
     assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("--nodes"));
-}
-
-#[test]
-fn perf_compare_newest_picks_the_highest_seq_baseline() {
-    let base = scratch("perf-newest");
-    std::fs::create_dir_all(&base).unwrap();
-    let snap = |seq: u64, latency: f64| {
-        format!(
-            "{{\"schema\":1,\"label\":\"t\",\"quick\":true,\"seed\":1,\"seq\":{seq},\
-             \"metrics\":{{\"serve_latency_p99\":{latency}}}}}"
-        )
-    };
-    // Old baseline would pass; the newest (highest-seq) one must be the
-    // comparison target, and it flags the regression.
-    std::fs::write(base.join("BENCH_old.json"), snap(0, 1000.0)).unwrap();
-    std::fs::write(base.join("BENCH_new.json"), snap(5, 100.0)).unwrap();
-    let candidate = base.join("candidate.json");
-    std::fs::write(&candidate, snap(0, 200.0)).unwrap();
-
-    let fail = repro()
-        .args([
-            "perf",
-            "--compare-newest",
-            base.to_str().unwrap(),
-            candidate.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run repro perf");
-    assert_eq!(fail.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&fail.stderr).contains("BENCH_new.json"),
-        "stderr must name the chosen baseline: {}",
-        String::from_utf8_lossy(&fail.stderr)
-    );
-    assert!(String::from_utf8_lossy(&fail.stdout).contains("REGRESSED"));
-
-    // An empty directory is a hard error (exit 2), not a silent pass.
-    let empty = base.join("empty");
-    std::fs::create_dir_all(&empty).unwrap();
-    let none = repro()
-        .args([
-            "perf",
-            "--compare-newest",
-            empty.to_str().unwrap(),
-            candidate.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run repro perf");
-    assert_eq!(none.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&none.stderr).contains("no BENCH_"));
-
-    let _ = std::fs::remove_dir_all(&base);
-}
-
-#[test]
-fn perf_seq_flag_stamps_the_snapshot() {
-    let base = scratch("perf-seq");
-    let output = repro()
-        .args([
-            "perf",
-            "--quick",
-            "--label",
-            "seqtest",
-            "--seed",
-            "7",
-            "--seq",
-            "11",
-            "--out",
-            base.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run repro perf");
-    assert!(
-        output.status.success(),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let text = std::fs::read_to_string(base.join("BENCH_seqtest.json")).expect("snapshot written");
-    let snap = hpu_bench::PerfSnapshot::parse(&text).expect("snapshot parses");
-    assert_eq!(snap.seq, 11);
-    for metric in [
-        "fleet_goodput_4n",
-        "fleet_scaling_x",
-        "fleet_routing_quality",
-    ] {
-        assert!(
-            snap.metrics.contains_key(metric),
-            "snapshot misses {metric}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&base);
-}
-
-#[test]
-fn perf_quick_writes_schema_versioned_snapshot() {
-    let base = scratch("perf-quick");
-    let output = repro()
-        .args([
-            "perf",
-            "--quick",
-            "--label",
-            "citest",
-            "--seed",
-            "7",
-            "--out",
-            base.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run repro perf");
-    assert!(
-        output.status.success(),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let path = base.join("BENCH_citest.json");
-    let text = std::fs::read_to_string(&path).expect("snapshot written");
-    let snap = hpu_bench::PerfSnapshot::parse(&text).expect("snapshot parses");
-    assert_eq!(snap.schema, hpu_bench::PERF_SCHEMA);
-    assert_eq!(snap.label, "citest");
-    assert!(snap.quick);
-    assert_eq!(snap.seed, 7);
-    for metric in [
-        "admission_latency_p50",
-        "admission_latency_p99",
-        "native_throughput_jobs_per_s",
-        "interpret_overhead_ratio",
-        "plan_compile_p50_us",
-        "serve_goodput",
-    ] {
-        assert!(
-            snap.metrics.contains_key(metric),
-            "snapshot misses {metric}"
-        );
-    }
-
-    // A self-comparison is regression-free by construction.
-    let cmp = repro()
-        .args([
-            "perf",
-            "--compare",
-            path.to_str().unwrap(),
-            path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run repro perf");
-    assert!(
-        cmp.status.success(),
-        "{}",
-        String::from_utf8_lossy(&cmp.stderr)
-    );
-
-    let _ = std::fs::remove_dir_all(&base);
 }

@@ -4,6 +4,11 @@
 //! must reproduce these byte for byte — placement, transfer and per-level
 //! accounting included.
 //!
+//! It also pins every simulated serving sweep (`repro serve|calibrate|
+//! chaos|fleet|batch|recover`) in virtual time: one `sweep_<mode>.txt`
+//! fixture per sweep, holding its CSV under a `# seed S` line for each
+//! seed in [`SWEEP_SEEDS`].
+//!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p hpu-bench` after an
 //! *intentional* behavior change.
 
@@ -19,6 +24,7 @@ use hpu_algos::sum::DcSum;
 use hpu_algos::MergeSort;
 use hpu_bench::experiments as exp;
 use hpu_bench::workload::uniform_input;
+use hpu_bench::ServeBackend;
 use hpu_core::exec::run_sim;
 use hpu_core::{BfAlgorithm, Element, RunReport};
 use hpu_machine::{MachineConfig, SimHpu, SimMachineParams};
@@ -31,7 +37,8 @@ fn fixture_path(name: &str) -> PathBuf {
 }
 
 /// Compares `got` against the committed fixture, or rewrites the fixture
-/// when `UPDATE_GOLDEN` is set.
+/// when `UPDATE_GOLDEN` is set. A mismatch names the fixture and its first
+/// differing line, with both versions of that line.
 fn assert_matches_fixture(name: &str, got: &str) {
     let path = fixture_path(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -41,10 +48,25 @@ fn assert_matches_fixture(name: &str, got: &str) {
     }
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-    assert_eq!(
-        got, want,
-        "output diverged from golden fixture {name}; run with UPDATE_GOLDEN=1 only if the \
-         change is intentional"
+    if got == want {
+        return;
+    }
+    let same = got
+        .split('\n')
+        .zip(want.split('\n'))
+        .take_while(|(g, w)| g == w)
+        .count();
+    let line = |text: &str| {
+        text.split('\n')
+            .nth(same)
+            .map_or("<end of file>".to_string(), |l| format!("{l:?}"))
+    };
+    panic!(
+        "output diverged from golden fixture {name} at line {}:\n  fixture: {}\n  got:     {}\n\
+         run with UPDATE_GOLDEN=1 only if the change is intentional",
+        same + 1,
+        line(&want),
+        line(got)
     );
 }
 
@@ -312,4 +334,67 @@ fn fig8_series_match_seed_golden() {
 fn fig9_series_match_seed_golden() {
     let csv = exp::fig9(&[1 << 8, 1 << 10]);
     assert_matches_fixture("fig9.csv", &csv.render());
+}
+
+/// Seeds every serving sweep fixture is pinned at.
+const SWEEP_SEEDS: [u64; 3] = [42, 7, 1234];
+
+/// Pins `sweep(seed)` for every seed in [`SWEEP_SEEDS`] in
+/// `sweep_<mode>.txt`, each CSV under a `# seed S` line: the sections are
+/// byte for byte what `repro <mode> ... --seed S` prints.
+fn assert_sweep_matches_fixture(mode: &str, sweep: impl Fn(u64) -> exp::Csv) {
+    let mut out = String::new();
+    for seed in SWEEP_SEEDS {
+        let _ = writeln!(out, "# seed {seed}");
+        out.push_str(&sweep(seed).render());
+    }
+    assert_matches_fixture(&format!("sweep_{mode}.txt"), &out);
+}
+
+/// `repro serve --backend sim`.
+#[test]
+fn serve_fleet_sweep_matches_golden() {
+    assert_sweep_matches_fixture("serve", |seed| {
+        hpu_bench::serve_fleet(32, &[0.5, 2.0], ServeBackend::Sim, seed)
+    });
+}
+
+/// `repro calibrate`.
+#[test]
+fn calibrate_sweep_matches_golden() {
+    assert_sweep_matches_fixture("calibrate", |seed| {
+        hpu_bench::calibrate_sweep(24, 2.0, seed)
+    });
+}
+
+/// `repro chaos --rates 0,0.05,0.2,0.5 --backend sim`.
+#[test]
+fn chaos_sweep_matches_golden() {
+    assert_sweep_matches_fixture("chaos", |seed| {
+        hpu_bench::chaos_sweep(16, &[0.0, 0.05, 0.2, 0.5], ServeBackend::Sim, seed)
+    });
+}
+
+/// `repro fleet --jobs 32 --nodes 1,2,4 --rates 1,6,96`.
+#[test]
+fn fleet_scaling_sweep_matches_golden() {
+    assert_sweep_matches_fixture("fleet", |seed| {
+        hpu_bench::fleet_scaling(32, &[1, 2, 4], &[1.0, 6.0, 96.0], seed)
+    });
+}
+
+/// `repro batch --jobs 24 --rates 1,2,3,4,6,8`.
+#[test]
+fn batch_curve_sweep_matches_golden() {
+    assert_sweep_matches_fixture("batch", |seed| {
+        hpu_bench::batch_curve(24, &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0], false, seed)
+    });
+}
+
+/// `repro recover --jobs 16 --rates 0,0.15,0.3,0.6`.
+#[test]
+fn recover_sweep_matches_golden() {
+    assert_sweep_matches_fixture("recover", |seed| {
+        hpu_bench::recover_sweep(16, &[0.0, 0.15, 0.3, 0.6], seed)
+    });
 }

@@ -12,7 +12,7 @@
 //!   core pool, so one job's GPU segment overlaps other jobs' CPU work.
 //! - [`Policy`] — cost-model admission: jobs are priced with
 //!   [`hpu_model::plan_cost`] and dispatched shortest-predicted-cost
-//!   first (with a starvation bound), or strict FIFO.
+//!   first with a starvation bound; a bound of 0 is strict FIFO.
 //! - [`serve_sim`] — deterministic event-driven serving in simulated
 //!   time, with bounded-queue backpressure ([`ServeError::QueueFull`]),
 //!   per-job deadlines ([`ServeError::Cancelled`]), and CPU-only fallback

@@ -27,7 +27,7 @@
 //! completion time** (evidence never arrives early), and when a completed
 //! job's relative drift exceeds the configured threshold, every
 //! still-queued job is re-priced and re-compiled under the corrected
-//! parameters — admission cost, `ShortestCost` ordering, and the plan's
+//! parameters — admission cost, shortest-cost ordering, and the plan's
 //! crossover levels all improve as evidence accumulates. Pricing can start
 //! from deliberately wrong numbers via [`ServeConfig::assumed`].
 //! Everything stays deterministic: observations drain in completion order
@@ -1177,11 +1177,6 @@ impl NodeSim {
         (base - discount).max(0.0)
     }
 
-    /// Cross-job batched launches committed so far.
-    pub fn batches_formed(&self) -> u64 {
-        self.batches.len() as u64
-    }
-
     /// End of the last committed reservation — how far ahead of `now` the
     /// node's calendars already stretch.
     pub fn horizon(&self) -> f64 {
@@ -1194,20 +1189,10 @@ impl NodeSim {
         self.pricer.breaker_open()
     }
 
-    /// Times the GPU circuit breaker has tripped.
-    pub fn breaker_trips(&self) -> u64 {
-        self.pricer.faults.as_ref().map_or(0, |f| f.trips)
-    }
-
     /// Drift-triggered calibration replans performed so far — this node's
     /// pricing generation. A peer's drift never changes it.
     pub fn replans(&self) -> u64 {
         self.replans
-    }
-
-    /// Current plan-cache generation, when caching is on.
-    pub fn cache_generation(&self) -> Option<u64> {
-        self.pricer.cache.as_ref().map(|c| c.generation())
     }
 
     /// Ids of every queued job, queue order.
@@ -1229,7 +1214,7 @@ impl NodeSim {
 
     /// Ids of the queued jobs a thief may take, lowest dispatch priority
     /// first: the backfillable suffix beyond the policy's rigid prefix.
-    /// A rigid (FIFO or starvation-overdue) entry is this node's promise
+    /// A rigid (starvation-overdue) entry is this node's promise
     /// to run next — stealing it would re-order what the policy already
     /// guaranteed.
     pub fn steal_candidates(&self) -> Vec<u64> {
@@ -1243,19 +1228,6 @@ impl NodeSim {
             .collect()
     }
 
-    /// Pricing inputs of the queued job `id`, for a prospective thief to
-    /// price under its own beliefs. `None` if the job is gone (or its
-    /// level count no longer computes).
-    pub fn queued_shape(&self, id: u64) -> Option<QueuedShape> {
-        let q = &self.queue.iter().find(|q| q.job.id == id)?.job;
-        Some(QueuedShape {
-            spec: q.spec.clone(),
-            rec: q.workload.recurrence(),
-            n: q.workload.input_len() as u64,
-            levels: q.workload.exec_levels().ok()?,
-        })
-    }
-
     /// Removes the queued job `id` for migration. The job keeps its
     /// original spec, arrival, starvation credit and (for a recovered
     /// job) checkpoint; its compiled variants stay behind (the receiving
@@ -1266,20 +1238,6 @@ impl NodeSim {
             m.inc("serve.stolen", 1);
         }
         Some(self.queue.remove(qi).job)
-    }
-
-    /// Starvation credit of the queued job `id`, if it is queued here.
-    pub fn queued_skips(&self, id: u64) -> Option<usize> {
-        self.queue
-            .iter()
-            .find(|q| q.job.id == id)
-            .map(|q| q.job.skips)
-    }
-
-    /// Ids of the dispatched jobs whose completion is still ahead of the
-    /// node's clock — what [`NodeSim::crash`] would lose right now.
-    pub fn running_ids(&self) -> Vec<u64> {
-        self.running.iter().map(|r| r.job.id).collect()
     }
 
     /// Kills the node at time `at`: every queued, not-yet-arrived and
@@ -1749,7 +1707,7 @@ impl NodeSim {
                     break;
                 }
                 if pos < rigid {
-                    // No backfilling past a rigid (FIFO or overdue) entry.
+                    // No backfilling past a rigid (overdue) entry.
                     break;
                 }
             }

@@ -88,6 +88,24 @@ fn live_metrics_cover_admission_compile_and_interpreter() {
     assert!(gauge("serve.makespan") > 0.0);
 }
 
+/// A metered served run samples the same virtual-time histograms on a
+/// second run. The `_ns` histograms time the host and may differ.
+#[test]
+fn sim_metrics_are_deterministic() {
+    let (first, _, _) = served_with_metrics();
+    let (again, _, _) = served_with_metrics();
+    let (first, again) = (first.snapshot(), again.snapshot());
+    for name in [
+        "serve.latency",
+        "serve.admission_wait",
+        "interpret.segment_time",
+        "interpret.launch_overhead",
+    ] {
+        assert!(first.contains_key(name), "{name} sampled");
+        assert_eq!(first.get(name), again.get(name), "{name} is deterministic");
+    }
+}
+
 /// Acceptance: a served workload's spans form the job → segment → level
 /// causal tree, with segment spans inside their job's window.
 #[test]

@@ -164,7 +164,9 @@ fn shortest_cost_overtakes_where_fifo_waits() {
     let fifo = serve_sim(
         &cfg,
         &ServeConfig {
-            policy: Policy::Fifo,
+            policy: Policy {
+                starvation_bound: 0,
+            },
             ..Default::default()
         },
         jobs(),
@@ -188,7 +190,7 @@ fn shortest_cost_overtakes_where_fifo_waits() {
 fn starvation_bound_limits_overtaking() {
     let cfg = MachineConfig::hpu1_sim();
     let serve = ServeConfig {
-        policy: Policy::ShortestCost {
+        policy: Policy {
             starvation_bound: 2,
         },
         cpu_fallback: false,
