@@ -50,26 +50,24 @@ fn recurse<T: SortKey>(data: &mut [T], scratch: &mut [T]) -> u64 {
 
 /// Merges sorted `a` and `b` into `dst` (`dst.len() == a.len() + b.len()`),
 /// returning the number of comparisons.
+///
+/// One comparison per output element while both runs are non-empty, ties
+/// taken from `a` (stable); the loop selects the smaller head without a
+/// data-dependent branch, and the rest of the surviving run is copied in
+/// one block.
 pub fn merge_into<T: SortKey>(a: &[T], b: &[T], dst: &mut [T]) -> u64 {
     let (mut i, mut j) = (0usize, 0usize);
-    let mut compares = 0u64;
-    for slot in dst.iter_mut() {
-        let take_a = if i < a.len() && j < b.len() {
-            compares += 1;
-            a[i] <= b[j]
-        } else {
-            i < a.len()
-        };
-        *slot = if take_a {
-            let v = a[i];
-            i += 1;
-            v
-        } else {
-            let v = b[j];
-            j += 1;
-            v
-        };
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let take_a = x <= y;
+        dst[i + j] = if take_a { x } else { y };
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
     }
+    let compares = (i + j) as u64;
+    let (rest_a, rest_b) = (&a[i..], &b[j..]);
+    dst[i + j..i + j + rest_a.len()].copy_from_slice(rest_a);
+    dst[i + j + rest_a.len()..].copy_from_slice(rest_b);
     compares
 }
 
@@ -502,6 +500,92 @@ mod tests {
         let mut d3 = [0u32; 3];
         merge_into(&[], &a, &mut d3);
         assert_eq!(d3, [1, 2, 3]);
+    }
+
+    /// The per-slot merge loop `merge_into` replaced: its output and its
+    /// compare count (what the simulator charges) are the reference.
+    fn reference_merge<T: SortKey>(a: &[T], b: &[T], dst: &mut [T]) -> u64 {
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut compares = 0u64;
+        for slot in dst.iter_mut() {
+            let take_a = if i < a.len() && j < b.len() {
+                compares += 1;
+                a[i] <= b[j]
+            } else {
+                i < a.len()
+            };
+            *slot = if take_a {
+                let v = a[i];
+                i += 1;
+                v
+            } else {
+                let v = b[j];
+                j += 1;
+                v
+            };
+        }
+        compares
+    }
+
+    /// A key that orders by `key` alone, so ties are real and `tag` shows
+    /// which run each output element came from.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Tagged {
+        key: u8,
+        tag: u32,
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+
+    impl Eq for Tagged {}
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    #[test]
+    fn merge_into_keeps_the_reference_output_and_compare_count() {
+        let mut state = 0x6D65_7267_6521_u64;
+        let mut next = move |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..20_000 {
+            let mut run = |first_tag: u32| {
+                let len = next(70) as u32;
+                let mut r: Vec<Tagged> = (0..len)
+                    .map(|t| Tagged {
+                        key: next(8) as u8,
+                        tag: first_tag + t,
+                    })
+                    .collect();
+                r.sort();
+                r
+            };
+            let (a, b) = (run(0), run(1000));
+            let mut want = vec![Tagged::default(); a.len() + b.len()];
+            let mut got = want.clone();
+            let want_compares = reference_merge(&a, &b, &mut want);
+            assert_eq!(merge_into(&a, &b, &mut got), want_compares);
+            let pairs = |v: &[Tagged]| v.iter().map(|t| (t.key, t.tag)).collect::<Vec<_>>();
+            assert_eq!(pairs(&got), pairs(&want), "a = {a:?}, b = {b:?}");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ use hpu_model::{compile, predict_levels, LevelProfile, MachineParams, Plan, Sche
 use hpu_obs::{drift_rows, LevelBook, LevelDrift, LevelMetrics, MetricsRegistry};
 
 use crate::bf::{num_levels, BfAlgorithm, Element};
-use crate::charge::NullCharge;
 use crate::error::CoreError;
 
 /// A consistent cut of a job captured at a plan-segment boundary.
@@ -163,32 +162,8 @@ fn restore_to_level<T: Element, A: BfAlgorithm<T>>(algo: &A, data: &mut [T], lev
     if level == 0 {
         return;
     }
-    let base = algo.base_chunk();
-    let a = algo.branching();
-    let mut ch = NullCharge;
-    for c in data.chunks_mut(base) {
-        algo.base_case(c, &mut ch);
-    }
     let mut scratch = vec![T::default(); data.len()];
-    let mut src_is_data = true;
-    let mut chunk = base.saturating_mul(a);
-    // Combine level k produces chunks of base·a^k; the cut completes
-    // levels 1..level.
-    let top_chunk = base.saturating_mul(a.saturating_pow(level.saturating_sub(1)));
-    while chunk <= top_chunk && chunk <= data.len() {
-        if src_is_data {
-            for (s, d) in data.chunks(chunk).zip(scratch.chunks_mut(chunk)) {
-                algo.combine(s, d, &mut ch);
-            }
-        } else {
-            for (s, d) in scratch.chunks(chunk).zip(data.chunks_mut(chunk)) {
-                algo.combine(s, d, &mut ch);
-            }
-        }
-        src_is_data = !src_is_data;
-        chunk = chunk.saturating_mul(a);
-    }
-    if !src_is_data {
+    if !native::run_subtree(algo, data, &mut scratch, 0, level - 1) {
         data.copy_from_slice(&scratch);
     }
 }

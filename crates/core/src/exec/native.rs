@@ -1,14 +1,17 @@
 //! Native (real-thread) backend of the plan interpreter.
 //!
 //! This is the executor a downstream user runs on an actual multicore: the
-//! same [`BfAlgorithm`] code, levels fork-joined on a [`LevelPool`],
-//! wall-clock timed. Native runs execute the same way simulated ones do —
-//! a host-only [`Plan`](hpu_model::Plan) fed to [`interpret`] — with
-//! [`NativeBackend`] as the substrate. [`run_native`] returns just the
-//! duration; [`run_native_report`] additionally records every level as a
-//! structured wall-clock span (µs) and aggregates the same per-level
-//! metrics the simulator produces, so native runs appear in the same
-//! Chrome traces and CSV reports as simulated ones.
+//! same [`BfAlgorithm`] code on a [`LevelPool`], wall-clock timed. Each band
+//! is cut at its highest level that still has a chunk per pool thread: the
+//! levels at or below the cut run as one sequential task per subtree (the
+//! paper's ⌈a^i/p⌉ tasks per core, §5.1, and its §7 sequential leaves), and
+//! only the few levels above it fork-join. Native runs execute the same way
+//! simulated ones do — a host-only [`Plan`](hpu_model::Plan) fed to
+//! [`interpret`] — with [`NativeBackend`] as the substrate. [`run_native`]
+//! returns just the duration; [`run_native_report`] additionally records
+//! every fork-join as a structured wall-clock span (µs) and aggregates the
+//! same per-level metrics the simulator produces, so native runs appear in
+//! the same Chrome traces and CSV reports as simulated ones.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -28,7 +31,9 @@ pub struct NativeReport {
     /// End-to-end wall-clock time.
     pub wall: Duration,
     /// Per-level metrics (bottom-up; times in µs of wall clock; ops/mem
-    /// are zero — native runs don't charge abstract costs).
+    /// are zero — native runs don't charge abstract costs). Rows start at
+    /// the subtree cut: its row carries the whole subtree band, with one
+    /// task per subtree, so no row sits below it.
     pub levels: Vec<LevelMetrics>,
     /// The structured spans recorded during the run (µs since run start).
     pub trace: Vec<TraceEvent>,
@@ -49,9 +54,9 @@ pub struct NativeBackend<'a, T: Element> {
 }
 
 impl<'a, T: Element> NativeBackend<'a, T> {
-    /// Creates a backend over `data`, fork-joining levels on `pool` (its
-    /// recorder receives the structured spans) and booking metrics into
-    /// `book`. The wall clock starts now.
+    /// Creates a backend over `data`, running subtrees and the levels above
+    /// them on `pool` (its recorder receives the structured spans) and
+    /// booking metrics into `book`. The wall clock starts now.
     pub fn new(pool: LevelPool, data: &'a mut [T], book: LevelBook) -> Self {
         let n = data.len();
         NativeBackend {
@@ -100,53 +105,56 @@ impl<T: Element, A: BfAlgorithm<T>> Backend<T, A> for NativeBackend<'_, T> {
             });
         };
         let n = self.data.len();
-        let a = algo.branching();
-        let base = algo.base_chunk();
+        let (base, a) = (algo.base_chunk(), algo.branching());
+        let chunk_of = |level: u32| base.saturating_mul(a.saturating_pow(level));
+        // The subtree cut: the highest level that still has a chunk for
+        // every pool thread. Everything at or below it runs as one
+        // sequential task per chunk; each level above is a fork-join of
+        // its own, with fewer tasks than threads.
+        let threads = self.pool.threads();
+        let cut = (band.first..=band.last)
+            .rev()
+            .find(|&level| n / chunk_of(level) >= threads);
         let mut src_is_data = true;
-        let mut chunk = if band.first == 0 {
-            let base_tasks = self.data.chunks_mut(base).len() as u64;
+        let (mut lo, mut hi) = (band.first, cut.unwrap_or(band.first));
+        while hi <= band.last && chunk_of(hi) <= n {
+            let chunk = chunk_of(hi);
+            let tasks = (n / chunk) as u64;
+            let (src, dst) = if src_is_data {
+                (&mut *self.data, &mut self.scratch[..])
+            } else {
+                (&mut self.scratch[..], &mut *self.data)
+            };
             let (s, e) = self.pool.run_tagged(
                 EventKind::Level {
                     name: algo.name().to_string(),
-                    phase: LevelPhase::Base,
-                    chunk: base as u64,
-                    tasks: base_tasks,
+                    phase: if hi == 0 {
+                        LevelPhase::Base
+                    } else {
+                        LevelPhase::Combine
+                    },
+                    chunk: chunk as u64,
+                    tasks,
                     ops: 0,
                     mem: 0,
                 },
-                self.data
-                    .chunks_mut(base)
-                    .map(|c| move || algo.base_case(c, &mut NullCharge))
+                src.chunks_mut(chunk)
+                    .zip(dst.chunks_mut(chunk))
+                    .map(|(s, d)| {
+                        move || {
+                            run_subtree(algo, s, d, lo, hi);
+                        }
+                    })
                     .collect(),
             );
-            self.book.cpu(base as u64, base_tasks, 0, 0, s, e);
-            base.saturating_mul(a)
-        } else {
-            base.saturating_mul(a.saturating_pow(band.first))
-        };
-        let top_chunk = base.saturating_mul(a.saturating_pow(band.last));
-        while chunk <= top_chunk && chunk <= n {
-            if src_is_data {
-                native_level(
-                    algo,
-                    &self.pool,
-                    self.data,
-                    &mut self.scratch,
-                    chunk,
-                    &mut self.book,
-                );
-            } else {
-                native_level(
-                    algo,
-                    &self.pool,
-                    &self.scratch,
-                    self.data,
-                    chunk,
-                    &mut self.book,
-                );
+            self.book.cpu(chunk as u64, tasks, 0, 0, s, e);
+            // An odd number of combines leaves each subtree's result in
+            // `dst`.
+            if (hi + 1).saturating_sub(lo.max(1)) % 2 == 1 {
+                src_is_data = !src_is_data;
             }
-            src_is_data = !src_is_data;
-            chunk = chunk.saturating_mul(a);
+            lo = hi + 1;
+            hi = lo;
         }
         if !src_is_data {
             let data = &mut *self.data;
@@ -213,7 +221,8 @@ pub fn run_native<T: Element, A: BfAlgorithm<T>>(
 
 /// Runs `algo` over `data` on real threads with structured tracing: a
 /// host-only plan is compiled for the pool's core count and interpreted on
-/// a [`NativeBackend`], so every level becomes a wall-clock span on a fresh
+/// a [`NativeBackend`], so every fork-join — the subtree band, each level
+/// above it, a copy-back — becomes a wall-clock span on a fresh
 /// [`WallRecorder`] and a row of per-level metrics. On success `data` holds
 /// the result.
 pub fn run_native_report<T: Element, A: BfAlgorithm<T>>(
@@ -244,28 +253,35 @@ pub fn run_native_report<T: Element, A: BfAlgorithm<T>>(
     })
 }
 
-fn native_level<T: Element, A: BfAlgorithm<T>>(
+/// Runs levels `lo..=hi` of `algo` bottom-up on one thread over one
+/// subtree: the base cases in place in `buf` when `lo` is 0, then each
+/// combine level from `buf` into `other` and back, ping-ponging. Returns
+/// whether the result ended in `buf` (an even number of combines).
+pub(super) fn run_subtree<T: Element, A: BfAlgorithm<T>>(
     algo: &A,
-    pool: &LevelPool,
-    src: &[T],
-    dst: &mut [T],
-    chunk: usize,
-    book: &mut LevelBook,
-) {
-    let tasks = src.chunks(chunk).len() as u64;
-    let (s, e) = pool.run_tagged(
-        EventKind::Level {
-            name: algo.name().to_string(),
-            phase: LevelPhase::Combine,
-            chunk: chunk as u64,
-            tasks,
-            ops: 0,
-            mem: 0,
-        },
-        src.chunks(chunk)
-            .zip(dst.chunks_mut(chunk))
-            .map(|(s, d)| move || algo.combine(s, d, &mut NullCharge))
-            .collect(),
-    );
-    book.cpu(chunk as u64, tasks, 0, 0, s, e);
+    buf: &mut [T],
+    other: &mut [T],
+    lo: u32,
+    hi: u32,
+) -> bool {
+    let (base, a) = (algo.base_chunk(), algo.branching());
+    if lo == 0 {
+        for c in buf.chunks_mut(base) {
+            algo.base_case(c, &mut NullCharge);
+        }
+    }
+    let mut in_buf = true;
+    for level in lo.max(1)..=hi {
+        let chunk = base.saturating_mul(a.saturating_pow(level));
+        let (src, dst) = if in_buf {
+            (&*buf, &mut *other)
+        } else {
+            (&*other, &mut *buf)
+        };
+        for (s, d) in src.chunks(chunk).zip(dst.chunks_mut(chunk)) {
+            algo.combine(s, d, &mut NullCharge);
+        }
+        in_buf = !in_buf;
+    }
+    in_buf
 }

@@ -4,12 +4,21 @@
 //! *levels* of independent tasks, so the only primitive the native executor
 //! needs is "run this batch of closures on `k` threads and wait" — a
 //! fork-join per level, mirroring how the paper's implementation launches
-//! CPU threads per recursion level (§6.1).
+//! CPU threads per recursion level (§6.1). The native backend keeps those
+//! batches small: it runs every level below its subtree cut inside one
+//! task per subtree, so it submits fewer than `a` tasks per thread at the
+//! cut and fewer tasks than threads above it.
 //!
-//! Workers pull task indices from a shared atomic counter (self-balancing
-//! for uneven task costs); scoped threads keep borrows of the caller's
-//! data safe without `'static` bounds.
+//! The caller joins its own fork-join: it runs the claim loop itself and
+//! spawns only `threads − 1` scoped workers, all pulling task indices from
+//! a shared atomic counter (self-balancing for uneven task costs). Scoped
+//! threads keep borrows of the caller's data safe without `'static`
+//! bounds. A panicking task does not stop the level: the first panic is
+//! caught, the remaining tasks still run, and the caller re-raises the
+//! original payload once every worker has joined.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -97,7 +106,9 @@ impl LevelPool {
     }
 
     /// Runs a level of independent tasks, returning their results in task
-    /// order.
+    /// order. The calling thread works the level alongside `threads − 1`
+    /// spawned workers. If a task panics, the rest still run and the first
+    /// panic then resumes on the caller with its original payload.
     pub fn run_collect<F, R>(&self, tasks: Vec<F>) -> Vec<R>
     where
         F: FnOnce() -> R + Send,
@@ -114,26 +125,42 @@ impl LevelPool {
         let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let workers = self.threads.min(n);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Poison-tolerant: if a sibling worker panicked mid-task
-                    // the remaining workers still drain their slots; the
-                    // original panic resurfaces when the scope joins.
-                    let task = slots[i]
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let claim = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let task = slots[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("each task taken once");
+            match catch_unwind(AssertUnwindSafe(task)) {
+                Ok(r) => *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r),
+                // Keep the first payload: re-raised once the scope joins,
+                // it carries the task's own message rather than the
+                // scope's generic "a scoped thread panicked".
+                Err(payload) => {
+                    panicked
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .take()
-                        .expect("each task taken once");
-                    *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(task());
-                });
+                        .get_or_insert(payload);
+                }
             }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.threads.min(n) {
+                scope.spawn(claim);
+            }
+            claim();
         });
+        if let Some(payload) = panicked
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            resume_unwind(payload);
+        }
         results
             .into_iter()
             .map(|m| {
@@ -226,6 +253,32 @@ mod tests {
         let rec = rec.lock().unwrap();
         assert_eq!(rec.events().len(), 1);
         assert!(rec.events()[0].duration() >= 0.0);
+    }
+
+    #[test]
+    fn a_task_panic_reaches_the_caller_with_its_message() {
+        let pool = LevelPool::new(2);
+        for _ in 0..20 {
+            let tasks: Vec<_> = (0..8usize)
+                .map(|i| {
+                    move || {
+                        if i == 5 {
+                            panic!("task five exploded");
+                        }
+                    }
+                })
+                .collect();
+            let payload = catch_unwind(AssertUnwindSafe(|| pool.run(tasks)))
+                .expect_err("the task's panic reaches the caller");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(message, Some("task five exploded"));
+            // Nothing to rebuild: the next level runs clean.
+            let out = pool.run_collect((0..8usize).map(|i| move || i).collect::<Vec<_>>());
+            assert_eq!(out, (0..8).collect::<Vec<_>>());
+        }
     }
 
     #[test]

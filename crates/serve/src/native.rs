@@ -158,20 +158,13 @@ pub fn serve_native(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut pool = LevelPool::new(threads_per_worker);
+                let pool = LevelPool::new(threads_per_worker);
                 // Without a fault configuration a panic is still caught
                 // and typed, just never retried.
-                let recovery =
-                    serve
-                        .faults
-                        .as_ref()
-                        .map(|f| f.recovery)
-                        .unwrap_or(RecoveryPolicy {
-                            max_retries: 0,
-                            backoff_base: 0.0,
-                            backoff_factor: 1.0,
-                            max_backoff: 0.0,
-                        });
+                let recovery = serve
+                    .faults
+                    .as_ref()
+                    .map_or(RecoveryPolicy::NO_RETRY, |f| f.recovery);
                 loop {
                     let mut job = {
                         let (mut st, poisoned) = lock_recover(&state);
@@ -239,16 +232,16 @@ pub fn serve_native(
                         }
                     }
                     // Panic-safe run: a panicking workload is caught at the
-                    // job boundary, the possibly-poisoned pool rebuilt, and
-                    // the job retried under the backoff policy before it
-                    // surfaces as a typed failure. The worker survives.
+                    // job boundary (the pool re-raises a task's panic with
+                    // its own payload and holds no state to rebuild) and
+                    // retried under the backoff policy before it surfaces
+                    // as a typed failure. The worker survives.
                     let mut retries: u32 = 0;
                     let attempt = loop {
                         match catch_unwind(AssertUnwindSafe(|| job.workload.run_native(&pool))) {
                             Ok(Ok(_)) => break Attempt::Ok,
                             Ok(Err(e)) => break Attempt::Err(e),
                             Err(payload) => {
-                                pool = LevelPool::new(threads_per_worker);
                                 if retries < recovery.max_retries {
                                     // Clamped: unclamped `base * factor^k`
                                     // overflows `as u64` past 2^64 µs and in

@@ -471,6 +471,54 @@ fn native_serving_completes_a_small_fleet() {
     assert!(r.jobs.iter().all(|j| j.predicted == 0.0));
 }
 
+/// A panic inside a pool task reaches the job boundary with its own
+/// payload, so the typed failure carries the job's message rather than the
+/// thread scope's generic one.
+#[test]
+fn native_worker_panic_keeps_the_job_message() {
+    use hpu_core::charge::Charge;
+    use hpu_core::BfAlgorithm;
+    use hpu_model::Recurrence;
+    use hpu_serve::{serve_native, NativeJobRequest};
+
+    /// A sum whose combine panics on 4-element chunks: a level of 16
+    /// tasks at n = 64.
+    struct Exploding;
+
+    impl BfAlgorithm<u64> for Exploding {
+        fn name(&self) -> &'static str {
+            "exploding"
+        }
+        fn base_case(&self, _chunk: &mut [u64], _charge: &mut dyn Charge) {}
+        fn combine(&self, src: &[u64], dst: &mut [u64], _charge: &mut dyn Charge) {
+            if src.len() == 4 {
+                panic!("combine exploded at chunk 4");
+            }
+            dst[0] = src[0] + src[src.len() / 2];
+        }
+        fn recurrence(&self) -> Recurrence {
+            Recurrence::dc_sum()
+        }
+    }
+
+    let jobs = vec![NativeJobRequest::new(
+        "boom",
+        0,
+        AlgoJob::boxed(Exploding, vec![1u64; 64]),
+    )];
+    let out = serve_native(&ServeConfig::default(), 1, 2, jobs);
+    assert_eq!(out.report.completed, 0);
+    let messages: Vec<&str> = out
+        .errors
+        .iter()
+        .filter_map(|e| match e {
+            ServeError::WorkerPanic { message, .. } => Some(message.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(messages, vec!["combine exploded at chunk 4"]);
+}
+
 /// With calibration on, the native fleet learns a µs-per-op scale from
 /// completions, so later jobs carry real wall-clock predictions.
 #[test]

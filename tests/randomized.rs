@@ -4,12 +4,15 @@
 
 use hpu::prelude::*;
 use hpu_algos::max_subarray::{max_subarray_reference, to_segments, MaxSubarray};
-use hpu_algos::mergesort::gpu_parallel_mergesort;
+use hpu_algos::mergesort::{gpu_parallel_mergesort, sort_recursive};
 use hpu_algos::scan::{scan_reference, DcScan};
-use hpu_core::exec::RecoveryPolicy;
+use hpu_algos::sum::sum_recursive;
+use hpu_core::bf::num_levels;
+use hpu_core::exec::{interpret, NativeBackend, RecoveryPolicy};
 use hpu_machine::FaultPlan;
 use hpu_model::advanced::AdvancedSolver;
-use hpu_obs::JobOutcome;
+use hpu_model::compile_unoptimized;
+use hpu_obs::{EventKind, JobOutcome, LevelBook};
 use hpu_serve::{
     dispatch_order, serve_sim, AlgoJob, DeviceArbiter, FaultConfig, JobRequest, Policy, Rank,
     ServeConfig,
@@ -566,4 +569,104 @@ fn virtual_time_scales_with_work() {
         let t2 = run_at(1 << (n_log + 1));
         assert!(t2 > t1, "n_log {n_log}: {t1} -> {t2}");
     }
+}
+
+/// Sort keys drawn from `[0, n/2]`, so every size has duplicates.
+fn keys(rng: &mut Rng, n: usize) -> Vec<u32> {
+    (0..n).map(|_| rng.below(n as u64 / 2 + 1) as u32).collect()
+}
+
+/// MergeSort's one-segment-per-level CPU plan, interpreted on a native
+/// backend: every band after the first starts above level 0.
+fn sort_unoptimized(algo: &MergeSort, data: &mut [u32], pool: &LevelPool) {
+    let levels = num_levels::<u32>(algo, data.len()).unwrap();
+    let params = MachineParams::new(pool.threads(), 1, 1.0).unwrap();
+    let plan = compile_unoptimized(
+        &ScheduleSpec::CpuParallel,
+        &params,
+        &BfAlgorithm::<u32>::recurrence(algo),
+        data.len() as u64,
+        levels,
+    )
+    .unwrap();
+    assert_eq!(plan.segments.len() as u32, levels + 1);
+    let book = LevelBook::new(1, 2);
+    let mut backend = NativeBackend::new(pool.clone(), data, book);
+    interpret(&plan, algo, &mut backend, &RecoveryPolicy::NO_RETRY)
+        .0
+        .unwrap();
+}
+
+#[test]
+fn native_runs_match_the_sequential_references() {
+    let mut rng = Rng(0x0AC1E);
+    for log_n in 0..=13 {
+        let n = 1usize << log_n;
+        let sort_in = keys(&mut rng, n);
+        let mut sorted = sort_in.clone();
+        sort_recursive(&mut sorted);
+        let words: Vec<u64> = (0..n).map(|_| rng.below(1 << 32)).collect();
+        let values: Vec<i64> = (0..n).map(|_| rng.below(201) as i64 - 100).collect();
+        for threads in 1..=4 {
+            let pool = LevelPool::new(threads);
+            let at = format!("n = {n}, {threads} threads");
+
+            let mut d = sort_in.clone();
+            run_native(&MergeSort::new(), &mut d, &pool).unwrap();
+            assert_eq!(d, sorted, "MergeSort, {at}");
+            if n >= 4 {
+                let mut d = sort_in.clone();
+                run_native(&MergeSort::new().with_leaf_cutoff(4), &mut d, &pool).unwrap();
+                assert_eq!(d, sorted, "MergeSort with leaf cutoff 4, {at}");
+            }
+            let mut d = sort_in.clone();
+            sort_unoptimized(&MergeSort::new(), &mut d, &pool);
+            assert_eq!(d, sorted, "MergeSort on a per-level plan, {at}");
+
+            let mut d = words.clone();
+            run_native(&DcSum, &mut d, &pool).unwrap();
+            assert_eq!(d[0], sum_recursive(&words), "DcSum, {at}");
+
+            let mut d = words.clone();
+            run_native(&DcScan, &mut d, &pool).unwrap();
+            assert_eq!(d, scan_reference(&words), "DcScan, {at}");
+
+            let mut d = to_segments(&values);
+            run_native(&MaxSubarray, &mut d, &pool).unwrap();
+            assert_eq!(
+                d[0].best,
+                max_subarray_reference(&values),
+                "MaxSubarray, {at}"
+            );
+        }
+    }
+}
+
+/// Guards against per-level fork-joins coming back: below the subtree cut
+/// nothing is booked or traced, and only the levels above it fork-join.
+#[test]
+fn native_sort_fork_joins_only_above_the_subtree_cut() {
+    let n = 1 << 16;
+    let cut = (n / 2) as u64;
+    let mut data = keys(&mut Rng(16), n);
+    let rep = run_native_report(&MergeSort::new(), &mut data, &LevelPool::new(2)).unwrap();
+    assert!(data.windows(2).all(|w| w[0] <= w[1]));
+    assert!(
+        rep.levels.iter().all(|l| l.chunk >= cut),
+        "a level row below the cut: {:?}",
+        rep.levels
+    );
+    let row = rep
+        .levels
+        .iter()
+        .find(|l| l.chunk == cut)
+        .expect("one row at the cut");
+    assert_eq!(row.tasks, 2, "one subtree per thread");
+    // ⌈log_a threads⌉ + 2: the cut, the levels above it and a copy-back.
+    let spans = rep
+        .trace
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Level { .. }))
+        .count();
+    assert!(spans <= 3, "{spans} level spans: {:?}", rep.trace);
 }
