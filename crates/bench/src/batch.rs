@@ -113,7 +113,7 @@ fn sim_row(mode: &str, rate: f64, out: &ServeOutput) -> Vec<String> {
 }
 
 /// Runs the batching curve: the identical pinned stream at every rate,
-/// once with batching off and once coalescing up to [`MAX_BATCH`] jobs
+/// once with batching off and once coalescing up to `MAX_BATCH` jobs
 /// per launch, plus (with `native` set) the unbatched native reference.
 /// One CSV row per `(mode, rate)`.
 pub fn batch_curve(jobs: usize, rates: &[f64], native: bool, seed: u64) -> Csv {

@@ -17,7 +17,7 @@
 //! and the crash window reliably lands on in-flight work.
 
 use hpu_algos::MergeSort;
-use hpu_fleet::{fleet_sim, FleetConfig, FleetJobRequest, NodeSpec, StealConfig};
+use hpu_fleet::{fleet_sim, FleetConfig, FleetJobRequest, NodeSpec};
 use hpu_machine::{MachineConfig, NodeFaultPlan};
 use hpu_model::ScheduleSpec;
 use hpu_obs::FleetReport;
@@ -49,10 +49,7 @@ pub(crate) fn recover_fleet(policy: CheckpointPolicy, plan: Option<NodeFaultPlan
             })
             .collect(),
     );
-    cfg.steal = StealConfig {
-        enabled: false,
-        min_imbalance: 2,
-    };
+    cfg.steal = false;
     if let Some(plan) = plan {
         cfg = cfg.with_node_faults(plan);
     }
@@ -89,18 +86,17 @@ pub(crate) fn recover_point(
     fleet_sim(&recover_fleet(policy, Some(plan)), recover_stream(jobs)).report
 }
 
-fn policy_name(policy: CheckpointPolicy) -> String {
+fn policy_name(policy: CheckpointPolicy) -> &'static str {
     match policy {
-        CheckpointPolicy::Off => "off".to_string(),
-        CheckpointPolicy::EveryLevel => "everylevel".to_string(),
-        CheckpointPolicy::EveryKLevels(k) => format!("every{k}"),
+        CheckpointPolicy::Off => "off",
+        CheckpointPolicy::EveryLevel => "everylevel",
     }
 }
 
 fn recover_row(policy: CheckpointPolicy, rate: f64, r: &FleetReport) -> Vec<String> {
     let c = &r.recovery;
     vec![
-        policy_name(policy),
+        policy_name(policy).to_string(),
         format!("{rate}"),
         r.submitted.to_string(),
         r.completed.to_string(),

@@ -1,9 +1,9 @@
 //! Executors for breadth-first D&C algorithms on the simulated HPU and on
 //! native threads.
 //!
-//! [`run_sim`] compiles a [`ScheduleSpec`] to an execution
-//! [`Plan`](hpu_model::Plan) (deriving model parameters where asked to) and
-//! hands it to [`run_sim_plan`], the one simulated entry point: it
+//! [`run_sim`] compiles a [`ScheduleSpec`] to an execution [`Plan`]
+//! (deriving model parameters where asked to) and hands it to
+//! [`run_sim_plan`], the one simulated entry point: it
 //! validates the plan against the input and drives the generic
 //! [`interpret`] loop over the simulated-machine backend, with recovery,
 //! metering and checkpoint resume chosen by [`RunOpts`]. Every schedule —

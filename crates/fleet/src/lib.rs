@@ -10,25 +10,27 @@
 //! The pieces:
 //!
 //! - [`NodeSpec`] / [`FleetConfig`] — per-node machine + scheduler
-//!   configuration, plus fleet-level routing and stealing knobs.
-//! - [`RouterPolicy`] — placement: each arriving job is priced *under
-//!   every node's own beliefs* (its assumed parameters corrected by its
-//!   private calibration, served by its plan cache), plus a load
+//!   configuration, plus the fleet-level switches: load stealing, the
+//!   routing oracle, metrics and node faults.
+//! - Routing — one cost/affinity rule: each arriving job is priced
+//!   *under every node's own beliefs* (its assumed parameters corrected
+//!   by its private calibration, served by its plan cache), plus a load
 //!   penalty from the node's believed backlog and a data-affinity
 //!   transfer term for non-resident datasets; breaker-open nodes are
-//!   demoted. [`RouterPolicy::RoundRobin`] is the trivial baseline — a
-//!   1-node fleet under it is observationally identical to plain
+//!   demoted. A 1-node fleet places every job on its only node without
+//!   pricing it, so it is observationally identical to plain
 //!   [`hpu_serve::serve_sim`].
-//! - [`StealConfig`] — cross-node work stealing at deterministic event
-//!   boundaries: an overloaded node's backfillable (non-rigid) queued
-//!   jobs migrate to idle nodes, and a node whose GPU circuit breaker
-//!   trips has its whole queue evacuated to healthy peers; migrated
-//!   jobs re-price from scratch under the receiving node's beliefs.
-//! - [`DetectorConfig`] + [`hpu_machine::NodeFaultPlan`] — the node-crash
-//!   fault domain: seeded whole-node crashes and partitions at
-//!   deterministic event ordinals, a wall-clock-free failure detector
-//!   that counts missed event boundaries, quarantine of down nodes from
-//!   routing/stealing/affinity, and recovery of a dead node's jobs on
+//! - Work stealing ([`FleetConfig::steal`]) — cross-node migration at
+//!   deterministic event boundaries: an overloaded node's backfillable
+//!   (non-rigid) queued jobs migrate to idle nodes, and a node whose GPU
+//!   circuit breaker trips has its whole queue evacuated to healthy
+//!   peers; migrated jobs re-price from scratch under the receiving
+//!   node's beliefs.
+//! - [`hpu_machine::NodeFaultPlan`] — the node-crash fault domain:
+//!   seeded whole-node crashes and partitions at deterministic event
+//!   ordinals, a wall-clock-free failure detector that declares a node
+//!   down after two missed event boundaries, quarantine of down nodes
+//!   from routing/stealing/affinity, and recovery of a dead node's jobs on
 //!   reachable peers — resumed from their last level-boundary
 //!   checkpoint (see [`hpu_serve::CheckpointPolicy`]) when one exists,
 //!   restarted from scratch when not. Restarted nodes rejoin cold:
@@ -83,7 +85,5 @@ mod steal;
 
 pub use error::FleetError;
 pub use node::{Node, NodeHealth, NodeSpec};
-pub use recover::DetectorConfig;
-pub use router::RouterPolicy;
 pub use sim::{fleet_sim, FleetConfig, FleetJobRequest, FleetOutput};
-pub use steal::{StealConfig, StealEvent, StealReason};
+pub use steal::{StealEvent, StealReason};

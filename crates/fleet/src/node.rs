@@ -4,6 +4,10 @@
 use hpu_machine::MachineConfig;
 use hpu_serve::{NodeSim, ServeConfig, StolenJob};
 
+/// Datasets each node keeps resident (least recently used evicted first)
+/// for the router's affinity term.
+const RESIDENCY_CAPACITY: usize = 8;
+
 /// Static description of one fleet node: its (possibly heterogeneous)
 /// machine and its private scheduler configuration — queue capacity,
 /// policy, assumed parameters, calibration, faults, metrics and plan
@@ -118,11 +122,11 @@ impl Node {
     }
 
     /// Marks dataset `d` most recently used on this node, evicting the
-    /// least recently used id beyond `cap`.
-    pub(crate) fn touch_resident(&mut self, d: u64, cap: usize) {
+    /// least recently used id beyond [`RESIDENCY_CAPACITY`].
+    pub(crate) fn touch_resident(&mut self, d: u64) {
         self.resident.retain(|&r| r != d);
         self.resident.push(d);
-        while self.resident.len() > cap.max(1) {
+        while self.resident.len() > RESIDENCY_CAPACITY {
             self.resident.remove(0);
         }
     }

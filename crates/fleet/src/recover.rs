@@ -10,7 +10,7 @@
 //!    jobs revoked) or goes silent ([`NodeFaultKind::Partition`]: the
 //!    machine keeps executing, the fleet just can't reach it). The
 //!    fleet does not know yet; the router keeps placing work there.
-//! 2. **Detect** — after [`DetectorConfig::miss_threshold`] further
+//! 2. **Detect** — after [`MISS_THRESHOLD`] further
 //!    global event boundaries the failure detector declares the node
 //!    `Down`: it is quarantined from routing and stealing, and a
 //!    crashed node's evicted jobs (plus any strays routed into it
@@ -30,23 +30,11 @@ use hpu_obs::RecoveryCounters;
 use crate::node::{Node, NodeHealth};
 use crate::steal::{StealEvent, StealReason};
 
-/// Deterministic failure-detector configuration.
-///
-/// The detector counts *global event boundaries*, not time: a node that
-/// misses `miss_threshold` consecutive boundaries after its fault fires
-/// is declared down. Equal inputs flip health at equal boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// Event boundaries between a fault firing and the fleet declaring
-    /// the node down; clamping to 0 detects at the next boundary.
-    pub miss_threshold: u64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig { miss_threshold: 2 }
-    }
-}
+/// Global event boundaries between a fault firing and the fleet's
+/// failure detector declaring the node down. The detector counts
+/// boundaries, not time, so equal inputs flip health at equal
+/// boundaries.
+const MISS_THRESHOLD: u64 = 2;
 
 /// One faulted node's progress through fire → detect → restart.
 pub(crate) struct FaultTimeline {
@@ -108,15 +96,12 @@ impl RecoveryLog {
 /// Advances every fault timeline to `ordinal` (fleet virtual time
 /// `now`). Called once per event-loop iteration, *before* the next
 /// event is selected, so a fault at ordinal `k` shapes event `k`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fault_step(
-    detector: &DetectorConfig,
     timelines: &mut [FaultTimeline],
     nodes: &mut [Node],
     ordinal: u64,
     now: f64,
     datasets: &[Option<u64>],
-    residency_capacity: usize,
     log: &mut RecoveryLog,
     steals_log: &mut Vec<StealEvent>,
 ) {
@@ -140,7 +125,7 @@ pub(crate) fn fault_step(
         // recovers its jobs. Skipped entirely when the node restarted
         // before the detector's patience ran out.
         if let Some(fired) = tl.fired {
-            if !tl.detected && !tl.restarted && ordinal >= fired + detector.miss_threshold {
+            if !tl.detected && !tl.restarted && ordinal >= fired + MISS_THRESHOLD {
                 tl.detected = true;
                 nodes[tl.node].health = NodeHealth::Down;
                 log.counters.node_downs += 1;
@@ -151,15 +136,7 @@ pub(crate) fn fault_step(
                     let strays = nodes[tl.node].sim.crash(now);
                     nodes[tl.node].evicted.extend(strays.queued);
                     nodes[tl.node].evicted.extend(strays.in_flight);
-                    redistribute(
-                        tl.node,
-                        nodes,
-                        now,
-                        datasets,
-                        residency_capacity,
-                        log,
-                        steals_log,
-                    );
+                    redistribute(tl.node, nodes, now, datasets, log, steals_log);
                 }
             }
         }
@@ -178,15 +155,7 @@ pub(crate) fn fault_step(
                 node.crashed = false;
                 node.sim.rejoin(now);
                 node.clear_resident();
-                redistribute(
-                    tl.node,
-                    nodes,
-                    now,
-                    datasets,
-                    residency_capacity,
-                    log,
-                    steals_log,
-                );
+                redistribute(tl.node, nodes, now, datasets, log, steals_log);
             } else if let Some(t0) = node.fault_time.take() {
                 log.mttr_sum += now - t0;
                 log.mttr_events += 1;
@@ -206,7 +175,6 @@ fn redistribute(
     nodes: &mut [Node],
     now: f64,
     datasets: &[Option<u64>],
-    residency_capacity: usize,
     log: &mut RecoveryLog,
     steals_log: &mut Vec<StealEvent>,
 ) {
@@ -239,7 +207,7 @@ fn redistribute(
         nodes[target].sim.inject(stolen, now);
         injected[target] += 1;
         if let Some(d) = datasets.get(id as usize).copied().flatten() {
-            nodes[target].touch_resident(d, residency_capacity);
+            nodes[target].touch_resident(d);
         }
         steals_log.push(StealEvent {
             at: now,

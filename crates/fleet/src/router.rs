@@ -14,51 +14,32 @@ use hpu_serve::QueuedShape;
 
 use crate::node::Node;
 
-/// How the fleet places arriving jobs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RouterPolicy {
-    /// Trivial placement: node `k mod N` for the `k`-th arrival, no
-    /// pricing, no affinity. A 1-node fleet under this router is
-    /// observationally identical to plain `serve_sim`.
-    RoundRobin,
-    /// Cost/affinity scoring (the default — see the module docs).
-    CostAffinity {
-        /// Weight of the believed-backlog term (queued predicted cost
-        /// plus committed calendar beyond now).
-        load_weight: f64,
-        /// Multiplier applied to the score of a breaker-open node;
-        /// clamped to at least 1.
-        breaker_penalty: f64,
-        /// Whether the data-affinity transfer term is applied.
-        affinity: bool,
-    },
-}
+/// Weight of a node's believed backlog (queued predicted cost plus
+/// committed calendar beyond now) in its routing score.
+const LOAD_WEIGHT: f64 = 1.0;
 
-impl Default for RouterPolicy {
-    fn default() -> Self {
-        RouterPolicy::CostAffinity {
-            load_weight: 1.0,
-            breaker_penalty: 4.0,
-            affinity: true,
-        }
-    }
-}
+/// Multiplier on the routing score of a node whose GPU circuit breaker
+/// is open.
+const BREAKER_PENALTY: f64 = 4.0;
 
 /// One routing decision.
 pub(crate) struct Placement {
     /// Chosen node index.
     pub node: usize,
-    /// The winning score (0 for [`RouterPolicy::RoundRobin`]).
+    /// The winning score (0 for a one-node fleet, which is not priced).
     pub score: f64,
     /// Nodes skipped this decision because their pricing produced no
     /// finite score (plan-cache compile error, NaN/∞ beliefs).
     pub unpriceable: usize,
 }
 
-/// Scores `shape` on every node and returns the placement. `rr` is the
-/// round-robin cursor, advanced only by that policy. Nodes with a full
-/// admission queue are skipped while any node has room (when all are
-/// full, the cheapest node takes the rejection).
+/// Scores `shape` on every node and returns the placement. Nodes with a
+/// full admission queue are skipped while any node has room (when all
+/// are full, the cheapest node takes the rejection).
+///
+/// A one-node fleet places every job on its only node without pricing
+/// it: a price probe would touch that node's plan cache, and a 1-node
+/// fleet must stay observationally identical to plain `serve_sim`.
 ///
 /// A node whose pricing fails — its plan cache cannot compile the shape,
 /// or its believed parameters yield a NaN/∞ score — is *skipped*, not
@@ -69,42 +50,20 @@ pub(crate) struct Placement {
 /// to pure load balancing across all admissible nodes, so every arrival
 /// still places deterministically.
 pub(crate) fn route(
-    policy: &RouterPolicy,
     nodes: &mut [Node],
     shape: Option<&QueuedShape>,
     dataset: Option<u64>,
     words: u64,
     now: f64,
-    rr: &mut usize,
 ) -> Placement {
     debug_assert!(!nodes.is_empty());
-    let (load_weight, breaker_penalty, affinity) = match policy {
-        RouterPolicy::RoundRobin => {
-            // Scan at most one full cycle for a reachable node; a fully
-            // quarantined fleet falls back to the raw cursor so placement
-            // stays total and deterministic.
-            let mut node = *rr % nodes.len();
-            for probe in 0..nodes.len() {
-                let i = (*rr + probe) % nodes.len();
-                if nodes[i].reachable() {
-                    node = i;
-                    *rr += probe;
-                    break;
-                }
-            }
-            *rr += 1;
-            return Placement {
-                node,
-                score: 0.0,
-                unpriceable: 0,
-            };
-        }
-        RouterPolicy::CostAffinity {
-            load_weight,
-            breaker_penalty,
-            affinity,
-        } => (*load_weight, *breaker_penalty, *affinity),
-    };
+    if nodes.len() == 1 {
+        return Placement {
+            node: 0,
+            score: 0.0,
+            unpriceable: 0,
+        };
+    }
     let any_room = nodes
         .iter()
         .any(|n| n.reachable() && n.sim.queue_len() < n.sim.queue_capacity());
@@ -144,14 +103,14 @@ pub(crate) fn route(
             // node runs the job CPU-only and re-stages regardless of what
             // its device once held, so its stale residency used to pull
             // arrivals toward the degraded node; charge the transfer.
-            let transfer = match dataset.filter(|_| affinity) {
+            let transfer = match dataset {
                 Some(d) if node.is_resident(d) && !node.sim.breaker_open() => 0.0,
                 Some(_) => node.sim.believed_transfer_time(words),
                 None => 0.0,
             };
-            let mut score = price + load_weight * backlog + transfer;
+            let mut score = price + LOAD_WEIGHT * backlog + transfer;
             if node.sim.breaker_open() {
-                score *= breaker_penalty.max(1.0);
+                score *= BREAKER_PENALTY;
             }
             // Backlog or transfer can still go non-finite (e.g. λ = ∞
             // beliefs): such a score never wins a `<` race, but NaN loses
@@ -235,17 +194,8 @@ mod tests {
                 node_with_lambda("bad", bad_lambda),
             ];
             let shape = gpu_shape();
-            let mut rr = 0;
             for _ in 0..8 {
-                let p = route(
-                    &RouterPolicy::default(),
-                    &mut nodes,
-                    Some(&shape),
-                    None,
-                    0,
-                    0.0,
-                    &mut rr,
-                );
+                let p = route(&mut nodes, Some(&shape), None, 0, 0.0);
                 assert_eq!(p.node, 0, "every arrival must land on the healthy node");
                 assert_eq!(p.unpriceable, 1, "the bad node is counted once per probe");
                 assert!(p.score.is_finite());
@@ -260,16 +210,7 @@ mod tests {
             node_with_lambda("bad-b", f64::INFINITY),
         ];
         let shape = gpu_shape();
-        let mut rr = 0;
-        let p = route(
-            &RouterPolicy::default(),
-            &mut nodes,
-            Some(&shape),
-            None,
-            0,
-            0.0,
-            &mut rr,
-        );
+        let p = route(&mut nodes, Some(&shape), None, 0, 0.0);
         // No node prices, so the load-only fallback places on the lowest
         // index — deterministic, never a NaN comparison.
         assert_eq!(p.node, 0);
@@ -278,40 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_without_pricing() {
-        let mut nodes = two_idle_nodes();
-        let mut rr = 0;
-        let seq: Vec<usize> = (0..4)
-            .map(|_| {
-                route(
-                    &RouterPolicy::RoundRobin,
-                    &mut nodes,
-                    None,
-                    None,
-                    0,
-                    0.0,
-                    &mut rr,
-                )
-                .node
-            })
-            .collect();
-        assert_eq!(seq, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
     fn affinity_prefers_the_resident_node() {
         let mut nodes = two_idle_nodes();
-        nodes[1].touch_resident(7, 8);
-        let mut rr = 0;
-        let p = route(
-            &RouterPolicy::default(),
-            &mut nodes,
-            None,
-            Some(7),
-            1 << 20,
-            0.0,
-            &mut rr,
-        );
+        nodes[1].touch_resident(7);
+        let p = route(&mut nodes, None, Some(7), 1 << 20, 0.0);
         assert_eq!(
             p.node, 1,
             "equal idle nodes: residency must break the tie toward node 1"
@@ -325,34 +236,11 @@ mod tests {
         // detector declared down must never win a placement, however
         // attractive its residency or price looks on paper.
         let mut nodes = two_idle_nodes();
-        nodes[1].touch_resident(7, 8);
+        nodes[1].touch_resident(7);
         nodes[1].health = NodeHealth::Down;
-        let mut rr = 0;
         for _ in 0..4 {
-            let p = route(
-                &RouterPolicy::default(),
-                &mut nodes,
-                None,
-                Some(7),
-                1 << 20,
-                0.0,
-                &mut rr,
-            );
+            let p = route(&mut nodes, None, Some(7), 1 << 20, 0.0);
             assert_eq!(p.node, 0, "a down node must be skipped outright");
-        }
-        // Round-robin skips it too instead of blindly cycling onto it.
-        let mut rr = 0;
-        for _ in 0..4 {
-            let p = route(
-                &RouterPolicy::RoundRobin,
-                &mut nodes,
-                None,
-                None,
-                0,
-                0.0,
-                &mut rr,
-            );
-            assert_eq!(p.node, 0);
         }
     }
 
@@ -363,9 +251,10 @@ mod tests {
         use hpu_serve::{AlgoJob, FaultConfig, JobRequest};
         // Regression: a breaker-open node used to keep its 0-transfer
         // residency discount, so arrivals over a resident dataset were
-        // still pulled toward the degraded node. With the penalty
-        // multiplier neutralized (1.0) the discount was the *only* pull —
-        // it must be gone while the breaker is open.
+        // still pulled toward the degraded node. Only the degraded node
+        // holds the dataset here, and staging 2^24 words costs more than
+        // four times its backlog: with the stale discount it would win
+        // despite the breaker penalty; without it, the healthy node wins.
         let doomed = ServeConfig {
             cpu_fallback: false,
             faults: Some(FaultConfig::new(FaultPlan::new(3).with_device_loss_at(0))),
@@ -389,35 +278,11 @@ mod tests {
         while !nodes[0].sim.breaker_open() {
             assert!(nodes[0].sim.step().is_some(), "breaker must trip");
         }
-        // Both nodes hold the dataset: pre-fix both were discounted and
-        // the index tie-break kept the arrival on the degraded node 0;
-        // post-fix only the healthy holder keeps the credit.
-        nodes[0].touch_resident(7, 8);
-        nodes[1].touch_resident(7, 8);
-        let policy = RouterPolicy::CostAffinity {
-            load_weight: 0.0,
-            breaker_penalty: 1.0,
-            affinity: true,
-        };
-        let mut rr = 0;
-        let p = route(&policy, &mut nodes, None, Some(7), 1 << 20, 0.0, &mut rr);
+        nodes[0].touch_resident(7);
+        let p = route(&mut nodes, None, Some(7), 1 << 24, 0.0);
         assert_eq!(
             p.node, 1,
             "stale residency on a breaker-open node must not attract the job"
         );
-    }
-
-    #[test]
-    fn affinity_off_falls_back_to_the_index_tiebreak() {
-        let mut nodes = two_idle_nodes();
-        nodes[1].touch_resident(7, 8);
-        let policy = RouterPolicy::CostAffinity {
-            load_weight: 1.0,
-            breaker_penalty: 4.0,
-            affinity: false,
-        };
-        let mut rr = 0;
-        let p = route(&policy, &mut nodes, None, Some(7), 1 << 20, 0.0, &mut rr);
-        assert_eq!(p.node, 0, "without affinity the transfer term vanishes");
     }
 }

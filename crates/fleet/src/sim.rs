@@ -4,10 +4,11 @@
 //! global virtual time: the earliest pending event — a fleet arrival or
 //! any node's next internal event — is processed first, with arrivals
 //! winning ties so a job routed at time `t` is admissible in the same
-//! instant. After every node event the stealer runs ([`crate::steal`]),
-//! and a node whose GPU circuit breaker newly tripped has its queue
-//! evacuated to healthy peers. Everything is deterministic: equal
-//! inputs give equal outputs, migration for migration.
+//! instant. After every node event the stealer runs ([`crate::steal`],
+//! unless [`FleetConfig::steal`] is off), and a node whose GPU circuit
+//! breaker newly tripped has its queue evacuated to healthy peers.
+//! Everything is deterministic: equal inputs give equal outputs,
+//! migration for migration.
 //!
 //! [`NodeSim`]: hpu_serve::NodeSim
 
@@ -20,9 +21,9 @@ use hpu_serve::{JobRequest, QueuedShape, ServeOutput, Workload};
 
 use crate::error::FleetError;
 use crate::node::{Node, NodeSpec};
-use crate::recover::{fault_step, DetectorConfig, FaultTimeline, RecoveryLog};
-use crate::router::{route, RouterPolicy};
-use crate::steal::{balance, evacuate, StealConfig, StealEvent, StealReason};
+use crate::recover::{fault_step, FaultTimeline, RecoveryLog};
+use crate::router::route;
+use crate::steal::{balance, evacuate, StealEvent, StealReason};
 
 /// One job submission to the fleet.
 pub struct FleetJobRequest {
@@ -73,17 +74,14 @@ impl FleetJobRequest {
     }
 }
 
-/// Fleet configuration: the nodes plus routing and stealing knobs.
+/// Fleet configuration: the nodes plus the fleet-level switches.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// The fleet's nodes, possibly heterogeneous.
     pub nodes: Vec<NodeSpec>,
-    /// Job placement policy.
-    pub router: RouterPolicy,
-    /// Work-stealing knobs.
-    pub steal: StealConfig,
-    /// Datasets each node keeps resident (LRU) for the affinity term.
-    pub residency_capacity: usize,
+    /// Whether load-triggered work stealing runs (device-loss evacuation
+    /// and crash recovery always do).
+    pub steal: bool,
     /// Whether to run the omniscient lowest-completion-time oracle on
     /// the same submission stream and report routing quality against it.
     pub oracle: bool,
@@ -95,24 +93,18 @@ pub struct FleetConfig {
     /// `None` — the default — injects nothing, and the run is
     /// event-for-event identical to a fleet without the fault machinery.
     pub node_faults: Option<NodeFaultPlan>,
-    /// Failure-detector configuration (event-boundary miss threshold).
-    pub detector: DetectorConfig,
 }
 
 impl FleetConfig {
-    /// A fleet over `nodes` with default routing (cost/affinity),
-    /// default stealing, an 8-dataset residency LRU, the oracle on, and
-    /// no node faults.
+    /// A fleet over `nodes` with load stealing on, the oracle on, no
+    /// fleet metrics and no node faults.
     pub fn new(nodes: Vec<NodeSpec>) -> Self {
         FleetConfig {
             nodes,
-            router: RouterPolicy::default(),
-            steal: StealConfig::default(),
-            residency_capacity: 8,
+            steal: true,
             oracle: true,
             metrics: None,
             node_faults: None,
-            detector: DetectorConfig::default(),
         }
     }
 
@@ -202,7 +194,6 @@ pub fn fleet_sim(cfg: &FleetConfig, jobs: Vec<FleetJobRequest>) -> FleetOutput {
     let mut steals_log: Vec<StealEvent> = Vec::new();
     let mut errors: Vec<FleetError> = Vec::new();
     let mut unpriceable = 0usize;
-    let mut rr = 0usize;
     let mut idx = 0usize;
     // Resolve the node-fault plan up front: one optional timeline per
     // node, advanced by the global event ordinal. Empty without a plan —
@@ -218,13 +209,11 @@ pub fn fleet_sim(cfg: &FleetConfig, jobs: Vec<FleetJobRequest>) -> FleetOutput {
     let mut gnow = 0.0f64;
     loop {
         fault_step(
-            &cfg.detector,
             &mut timelines,
             &mut nodes,
             ordinal,
             gnow,
             &datasets,
-            cfg.residency_capacity,
             &mut recovery,
             &mut steals_log,
         );
@@ -253,15 +242,7 @@ pub fn fleet_sim(cfg: &FleetConfig, jobs: Vec<FleetJobRequest>) -> FleetOutput {
                 gnow = gnow.max(at);
                 let inc = &mut incoming[idx];
                 idx += 1;
-                let placement = route(
-                    &cfg.router,
-                    &mut nodes,
-                    inc.shape.as_ref(),
-                    inc.dataset,
-                    inc.words,
-                    at,
-                    &mut rr,
-                );
+                let placement = route(&mut nodes, inc.shape.as_ref(), inc.dataset, inc.words, at);
                 unpriceable += placement.unpriceable;
                 // A consumed payload means this arrival already routed —
                 // a fleet bug, but one that must not abort every other
@@ -277,7 +258,7 @@ pub fn fleet_sim(cfg: &FleetConfig, jobs: Vec<FleetJobRequest>) -> FleetOutput {
                 let target = &mut nodes[placement.node];
                 target.routed += 1;
                 if let Some(d) = inc.dataset {
-                    target.touch_resident(d, cfg.residency_capacity);
+                    target.touch_resident(d);
                 }
                 target.sim.submit(
                     inc.id,
@@ -305,14 +286,18 @@ pub fn fleet_sim(cfg: &FleetConfig, jobs: Vec<FleetJobRequest>) -> FleetOutput {
                 gnow = gnow.max(now);
                 if !was_open && nodes[i].sim.breaker_open() {
                     let evs = evacuate(&mut nodes, i, now);
-                    settle_migrations(&mut nodes, &datasets, &evs, cfg.residency_capacity);
+                    settle_migrations(&mut nodes, &datasets, &evs);
                     if let Some(m) = &cfg.metrics {
                         m.inc("fleet.migrations", evs.len() as u64);
                     }
                     steals_log.extend(evs);
                 }
-                let evs = balance(&cfg.steal, &mut nodes, now, &mut errors);
-                settle_migrations(&mut nodes, &datasets, &evs, cfg.residency_capacity);
+                let evs = if cfg.steal {
+                    balance(&mut nodes, now, &mut errors)
+                } else {
+                    Vec::new()
+                };
+                settle_migrations(&mut nodes, &datasets, &evs);
                 if let Some(m) = &cfg.metrics {
                     m.inc("fleet.steals", evs.len() as u64);
                 }
@@ -394,10 +379,10 @@ fn take_routed(inc: &mut Incoming) -> Result<FleetJobRequest, FleetError> {
 }
 
 /// Moves each migrated job's dataset residency with it.
-fn settle_migrations(nodes: &mut [Node], datasets: &[Option<u64>], evs: &[StealEvent], cap: usize) {
+fn settle_migrations(nodes: &mut [Node], datasets: &[Option<u64>], evs: &[StealEvent]) {
     for e in evs {
         if let Some(d) = datasets.get(e.job as usize).copied().flatten() {
-            nodes[e.to].touch_resident(d, cap);
+            nodes[e.to].touch_resident(d);
         }
     }
 }
@@ -414,13 +399,7 @@ fn oracle_mean_latency(cfg: &FleetConfig, incoming: &[Incoming]) -> f64 {
     let params: Vec<MachineParams> = cfg
         .nodes
         .iter()
-        .map(|s| {
-            let mut m = s.machine.clone();
-            if let Some(k) = s.serve.cores_per_job {
-                m.cpu.cores = k.clamp(1, s.machine.cpu.cores);
-            }
-            MachineParams::from_config(&m)
-        })
+        .map(|s| MachineParams::from_config(&s.machine))
         .collect();
     let mut avail = vec![0.0f64; params.len()];
     let mut total = 0.0f64;

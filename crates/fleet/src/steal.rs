@@ -4,7 +4,7 @@
 //!
 //! * **Load imbalance** ([`balance`]): after each node event, while the
 //!   longest queue exceeds the shortest (accepting) queue by at least
-//!   [`StealConfig::min_imbalance`], one job migrates from the victim's
+//!   [`MIN_IMBALANCE`] jobs, one job migrates from the victim's
 //!   *backfillable suffix* — never its rigid prefix, which the dispatch
 //!   policy has already promised to run next — to the thief.
 //! * **Device loss** ([`evacuate`]): when a node's GPU circuit breaker
@@ -19,25 +19,9 @@
 use crate::error::FleetError;
 use crate::node::Node;
 
-/// Work-stealing configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StealConfig {
-    /// Whether load-triggered stealing runs at all (device-loss
-    /// evacuation always does).
-    pub enabled: bool,
-    /// Minimum queue-length gap between victim and thief before a steal
-    /// fires; clamped to at least 1.
-    pub min_imbalance: usize,
-}
-
-impl Default for StealConfig {
-    fn default() -> Self {
-        StealConfig {
-            enabled: true,
-            min_imbalance: 2,
-        }
-    }
-}
+/// Minimum queue-length gap between victim and thief before a
+/// load-triggered steal fires.
+const MIN_IMBALANCE: usize = 2;
 
 /// Why a job migrated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,13 +77,12 @@ pub(crate) fn pick_victim(nodes: &[Node]) -> Result<usize, FleetError> {
 /// GPU job would instantly degrade there. A malformed selection is
 /// appended to `errors` and ends the pass.
 pub(crate) fn balance(
-    cfg: &StealConfig,
     nodes: &mut [Node],
     now: f64,
     errors: &mut Vec<FleetError>,
 ) -> Vec<StealEvent> {
     let mut events = Vec::new();
-    if !cfg.enabled || nodes.iter().filter(|n| n.reachable()).count() < 2 {
+    if nodes.iter().filter(|n| n.reachable()).count() < 2 {
         return events;
     }
     let mut injected = vec![0usize; nodes.len()];
@@ -120,7 +103,7 @@ pub(crate) fn balance(
             .sim
             .queue_len()
             .saturating_sub(effective(nodes, &injected, thief));
-        if gap < cfg.min_imbalance.max(1) {
+        if gap < MIN_IMBALANCE {
             break;
         }
         // Lowest-dispatch-priority candidate first; an empty list means
@@ -198,7 +181,7 @@ mod tests {
     #[test]
     fn balance_records_nothing_and_no_errors_on_a_degenerate_fleet() {
         let mut errors = Vec::new();
-        let events = balance(&StealConfig::default(), &mut [], 0.0, &mut errors);
+        let events = balance(&mut [], 0.0, &mut errors);
         assert!(events.is_empty());
         assert!(errors.is_empty(), "the <2-node guard short-circuits first");
     }

@@ -4,7 +4,7 @@
 //! faults-off-is-identical guarantee.
 
 use hpu_algos::MergeSort;
-use hpu_fleet::{fleet_sim, FleetConfig, FleetJobRequest, NodeSpec, StealConfig, StealReason};
+use hpu_fleet::{fleet_sim, FleetConfig, FleetJobRequest, NodeSpec, StealReason};
 use hpu_machine::{MachineConfig, NodeFaultPlan};
 use hpu_model::ScheduleSpec;
 use hpu_serve::{AlgoJob, CheckpointPolicy, ServeConfig};
@@ -33,10 +33,7 @@ fn four_nodes(policy: CheckpointPolicy) -> FleetConfig {
     );
     // Load stealing off: jobs stay where routed, so the only cross-node
     // movement these tests observe is crash recovery itself.
-    cfg.steal = StealConfig {
-        enabled: false,
-        min_imbalance: 2,
-    };
+    cfg.steal = false;
     cfg
 }
 

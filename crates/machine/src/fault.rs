@@ -358,12 +358,6 @@ impl FaultInjector {
         (ordinal, None)
     }
 
-    /// Marks the device permanently lost (e.g. a breaker decision made
-    /// above the machine layer).
-    pub fn mark_lost(&mut self) {
-        self.lost = true;
-    }
-
     /// Whether the device is permanently lost.
     pub fn lost(&self) -> bool {
         self.lost

@@ -183,18 +183,6 @@ fn push_args(out: &mut String, kind: &EventKind) {
                 fmt_num(*backoff)
             );
         }
-        EventKind::BreakerTrip { consecutive } => {
-            let _ = write!(out, "\"consecutive\":{consecutive}");
-        }
-        EventKind::Degraded { job } => {
-            let _ = write!(out, "\"job\":{job}");
-        }
-        EventKind::Checkpoint { level, words } => {
-            let _ = write!(out, "\"level\":{level},\"words\":{words}");
-        }
-        EventKind::NodeDown { node } | EventKind::NodeUp { node } => {
-            let _ = write!(out, "\"node\":{node}");
-        }
         EventKind::Resume { level } => {
             let _ = write!(out, "\"level\":{level}");
         }

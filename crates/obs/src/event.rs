@@ -105,36 +105,6 @@ pub enum EventKind {
         /// Backoff charged before this attempt (same unit as the track).
         backoff: f64,
     },
-    /// The GPU circuit breaker tripped: consecutive faults crossed the
-    /// threshold and the device was taken out of rotation.
-    BreakerTrip {
-        /// Consecutive faults observed at the trip.
-        consecutive: u32,
-    },
-    /// A job was degraded to its CPU-only plan after device faults.
-    Degraded {
-        /// Id of the degraded job.
-        job: u64,
-    },
-    /// A running job's state was captured at a level boundary (a
-    /// consistent cut of the breadth-first execution).
-    Checkpoint {
-        /// First level still to run after the cut (levels `0..level` are
-        /// complete and captured).
-        level: u32,
-        /// Words of host state captured in the checkpoint.
-        words: u64,
-    },
-    /// A node was declared down by the fleet's failure detector.
-    NodeDown {
-        /// Index of the dead node.
-        node: u64,
-    },
-    /// A previously-down node rejoined the fleet.
-    NodeUp {
-        /// Index of the rejoining node.
-        node: u64,
-    },
     /// A recovered job resumed from its last checkpoint instead of
     /// restarting from scratch.
     Resume {
@@ -188,15 +158,6 @@ impl fmt::Display for EventKind {
             EventKind::Retry { attempt, backoff } => {
                 write!(f, "retry #{attempt} after backoff {backoff}")
             }
-            EventKind::BreakerTrip { consecutive } => {
-                write!(f, "breaker trip ({consecutive} consecutive faults)")
-            }
-            EventKind::Degraded { job } => write!(f, "job {job} degraded to CPU-only"),
-            EventKind::Checkpoint { level, words } => {
-                write!(f, "checkpoint at level {level} ({words} words)")
-            }
-            EventKind::NodeDown { node } => write!(f, "node {node} down"),
-            EventKind::NodeUp { node } => write!(f, "node {node} up"),
             EventKind::Resume { level } => write!(f, "resume from level {level}"),
             EventKind::Mark(s) => write!(f, "{s}"),
             EventKind::Span { kind, .. } => write!(f, "{kind}"),
@@ -214,10 +175,6 @@ impl EventKind {
             EventKind::Sync => "sync",
             EventKind::Fault { .. } => "fault",
             EventKind::Retry { .. } => "retry",
-            EventKind::BreakerTrip { .. } => "breaker",
-            EventKind::Degraded { .. } => "degraded",
-            EventKind::Checkpoint { .. } => "checkpoint",
-            EventKind::NodeDown { .. } | EventKind::NodeUp { .. } => "node",
             EventKind::Resume { .. } => "resume",
             EventKind::Mark(_) => "mark",
             EventKind::Span { .. } => "span",

@@ -20,11 +20,6 @@ pub struct DeviceArbiter {
     cores: usize,
     gpu: Vec<(f64, f64)>,
     cpu: Vec<(f64, f64, usize)>,
-    /// Batched GPU leases `(start, end, members)`: calendar entries in
-    /// `gpu` that one *batch* of jobs holds jointly. Kept separately so
-    /// the grant and the release are atomic over the whole batch — no
-    /// member can individually free (or keep) a shared slot.
-    batches: Vec<(f64, f64, usize)>,
 }
 
 impl DeviceArbiter {
@@ -35,7 +30,6 @@ impl DeviceArbiter {
             cores: cores.max(1),
             gpu: Vec::new(),
             cpu: Vec::new(),
-            batches: Vec::new(),
         }
     }
 
@@ -70,62 +64,6 @@ impl DeviceArbiter {
             self.gpu.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
         (start, start + dur.max(0.0))
-    }
-
-    /// Leases the GPU to a **batch** of `members` jobs jointly for `dur`
-    /// starting at the earliest slot `>= t`: one calendar entry, one
-    /// merged upload/kernel/download window, granted to every member at
-    /// once. Returns the `(start, end)` reserved. The lease is atomic —
-    /// it can only be freed for the whole batch via
-    /// [`DeviceArbiter::release_gpu_batch`]; [`DeviceArbiter::release_gpu`]
-    /// refuses to release it member-by-member.
-    pub fn reserve_gpu_batch(&mut self, t: f64, dur: f64, members: usize) -> (f64, f64) {
-        let (start, end) = self.reserve_gpu(t, dur);
-        if dur > EPS {
-            self.batches.push((start, end, members.max(1)));
-        }
-        (start, end)
-    }
-
-    /// Releases a batched GPU lease `(start, end)` for all its members at
-    /// once. Returns whether a matching batch lease was found (the
-    /// calendars are untouched otherwise).
-    pub fn release_gpu_batch(&mut self, start: f64, end: f64) -> bool {
-        let Some(i) = self
-            .batches
-            .iter()
-            .position(|&(s, e, _)| (s - start).abs() <= EPS && (e - end).abs() <= EPS)
-        else {
-            return false;
-        };
-        self.batches.remove(i);
-        // The underlying calendar entry always exists for a live batch
-        // lease; remove it through the plain path now that the batch
-        // bookkeeping no longer guards it.
-        match self
-            .gpu
-            .iter()
-            .position(|&(s, e)| (s - start).abs() <= EPS && (e - end).abs() <= EPS)
-        {
-            Some(g) => {
-                self.gpu.remove(g);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// All live batched GPU leases `(start, end, members)`, grant order.
-    pub fn gpu_batch_leases(&self) -> &[(f64, f64, usize)] {
-        &self.batches
-    }
-
-    /// Whether `(start, end)` is held by a batch (and therefore not
-    /// individually releasable).
-    fn is_batch_lease(&self, start: f64, end: f64) -> bool {
-        self.batches
-            .iter()
-            .any(|&(s, e, _)| (s - start).abs() <= EPS && (e - end).abs() <= EPS)
     }
 
     /// Earliest start `>= t` at which `cores` CPU cores are free for the
@@ -214,13 +152,8 @@ impl DeviceArbiter {
 
     /// Releases a committed GPU lease `(start, end)` — the slot becomes
     /// reusable by later arrivals. Returns whether a matching lease was
-    /// found (the calendar is untouched otherwise). A lease held by a
-    /// batch is never released here: one member backing out must not pull
-    /// the window out from under the others.
+    /// found (the calendar is untouched otherwise).
     pub fn release_gpu(&mut self, start: f64, end: f64) -> bool {
-        if self.is_batch_lease(start, end) {
-            return false;
-        }
         match self
             .gpu
             .iter()
@@ -361,42 +294,6 @@ mod tests {
         assert!(arb.release_cpu(s, e, 3));
         assert_eq!(arb.cpu_slot(0.0, 4.0, 2), 0.0);
         assert!(!arb.release_cpu(s, e, 3));
-    }
-
-    #[test]
-    fn batch_lease_is_one_calendar_entry_released_atomically() {
-        let mut arb = DeviceArbiter::new(4);
-        let (s, e) = arb.reserve_gpu_batch(0.0, 12.0, 3);
-        assert_eq!((s, e), (0.0, 12.0));
-        // One exclusive entry for the whole batch, visible as such.
-        assert_eq!(arb.gpu_leases(), &[(0.0, 12.0)]);
-        assert_eq!(arb.gpu_batch_leases(), &[(0.0, 12.0, 3)]);
-        assert_eq!(arb.gpu_slot(0.0, 5.0), 12.0);
-        // A member cannot individually free the shared window.
-        assert!(!arb.release_gpu(s, e));
-        assert_eq!(arb.gpu_leases().len(), 1);
-        // The batch releases to its members atomically.
-        assert!(arb.release_gpu_batch(s, e));
-        assert!(arb.gpu_leases().is_empty());
-        assert!(arb.gpu_batch_leases().is_empty());
-        assert_eq!(arb.gpu_slot(0.0, 5.0), 0.0);
-        // Releasing twice finds nothing.
-        assert!(!arb.release_gpu_batch(s, e));
-    }
-
-    #[test]
-    fn batch_lease_queues_behind_plain_leases() {
-        let mut arb = DeviceArbiter::new(2);
-        arb.reserve_gpu(0.0, 4.0);
-        let (s, e) = arb.reserve_gpu_batch(0.0, 3.0, 2);
-        assert_eq!((s, e), (4.0, 7.0));
-        // Plain leases and their releases are unaffected by batches.
-        let (ps, pe) = arb.reserve_gpu(0.0, 1.0);
-        assert_eq!((ps, pe), (7.0, 8.0));
-        assert!(arb.release_gpu(ps, pe));
-        // Zero-length batches reserve (and track) nothing.
-        arb.reserve_gpu_batch(0.0, 0.0, 5);
-        assert_eq!(arb.gpu_batch_leases().len(), 1);
     }
 
     #[test]

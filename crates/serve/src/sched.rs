@@ -7,7 +7,7 @@
 //! demands through the [`DeviceArbiter`]'s reservation calendars in fleet
 //! virtual time. The GPU is an exclusive lease, so GPU segments of
 //! different jobs serialize while their CPU segments overlap; the CPU pool
-//! partitions by core count (see [`ServeConfig::cores_per_job`]).
+//! partitions by core count.
 //!
 //! Scheduling is event-driven and fully deterministic: events are job
 //! arrivals and reservation releases, and at each event the dispatcher
@@ -82,16 +82,12 @@ pub struct ServeConfig {
     /// Whether a GPU-using job may fall back to its CPU-only plan when
     /// the device lease is contended and the fallback finishes sooner.
     pub cpu_fallback: bool,
-    /// Compile each job for this many cores instead of the whole CPU,
-    /// letting several jobs' CPU segments run side by side in the pool
-    /// (clamped to the machine's core count).
-    pub cores_per_job: Option<usize>,
     /// Machine parameters to price and compile with, when they should
     /// differ from the served machine's own
     /// ([`MachineParams::from_config`]). This is the mis-specification
     /// knob for calibration experiments: the scheduler *believes* these
     /// numbers until the calibration loop corrects them. `p` always
-    /// follows the served machine (and [`ServeConfig::cores_per_job`]).
+    /// follows the served machine.
     pub assumed: Option<MachineParams>,
     /// Closed-loop calibration (see the module docs). `None` — the
     /// default — keeps the open-loop behavior bit for bit.
@@ -117,9 +113,10 @@ pub struct ServeConfig {
     pub batch: BatchPolicy,
     /// Level-boundary checkpointing of running jobs (see
     /// [`CheckpointPolicy`]). The default, [`CheckpointPolicy::Off`],
-    /// records nothing and keeps the scheduler bit for bit; any other
-    /// policy lets a fleet-level crash recover in-flight jobs from their
-    /// last completed level instead of restarting them from scratch.
+    /// records nothing and keeps the scheduler bit for bit;
+    /// [`CheckpointPolicy::EveryLevel`] lets a fleet-level crash recover
+    /// in-flight jobs from their last completed level instead of
+    /// restarting them from scratch.
     pub checkpoint: CheckpointPolicy,
 }
 
@@ -128,53 +125,22 @@ pub struct ServeConfig {
 /// Every segment boundary of a compiled plan is a consistent cut of the
 /// breadth-first execution — levels below it are completely done, levels
 /// above it untouched — so a checkpoint taken there resumes exactly (see
-/// [`RunOpts::resume`]). The policy decides *which*
-/// boundaries are worth the capture cost.
+/// [`RunOpts::resume`]). The policy decides whether they are captured.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CheckpointPolicy {
     /// No checkpoints: crash recovery restarts in-flight jobs from
     /// scratch. Byte-identical to the pre-checkpointing scheduler.
     #[default]
     Off,
-    /// Capture at every level boundary — maximal re-execution savings,
-    /// maximal capture traffic.
+    /// Capture at every level boundary.
     EveryLevel,
-    /// Capture at every `k`-th level boundary (`k` clamped to ≥ 1, so
-    /// `EveryKLevels(1)` is [`CheckpointPolicy::EveryLevel`]).
-    EveryKLevels(u32),
 }
 
 impl CheckpointPolicy {
     /// Whether a checkpoint at resume-level `level` (levels `0..level`
     /// complete) is admitted by this policy.
     pub fn admits(&self, level: u32) -> bool {
-        match *self {
-            CheckpointPolicy::Off => false,
-            CheckpointPolicy::EveryLevel => level > 0,
-            CheckpointPolicy::EveryKLevels(k) => level > 0 && level.is_multiple_of(k.max(1)),
-        }
-    }
-
-    /// Prices a checkpoint interval against re-execution: with capture
-    /// cost `c` per checkpoint and mean per-level cost `l`, checkpointing
-    /// every `k` levels pays `c/k` per level while a crash re-executes
-    /// `k/2` levels on average — total `c/k + l·k/2` per level, minimized
-    /// at `k = √(2c/l)`. A ratio at or below 1 means capture is cheap
-    /// enough to take every boundary.
-    pub fn every_k_priced(checkpoint_cost: f64, mean_level_cost: f64) -> CheckpointPolicy {
-        if checkpoint_cost <= 0.0
-            || mean_level_cost <= 0.0
-            || !checkpoint_cost.is_finite()
-            || !mean_level_cost.is_finite()
-        {
-            return CheckpointPolicy::EveryLevel;
-        }
-        let k = (2.0 * checkpoint_cost / mean_level_cost).sqrt().ceil();
-        if k <= 1.0 {
-            CheckpointPolicy::EveryLevel
-        } else {
-            CheckpointPolicy::EveryKLevels(k as u32)
-        }
+        *self == CheckpointPolicy::EveryLevel && level > 0
     }
 }
 
@@ -231,7 +197,6 @@ impl Default for ServeConfig {
             queue_capacity: 32,
             policy: Policy::default(),
             cpu_fallback: true,
-            cores_per_job: None,
             assumed: None,
             calibration: None,
             faults: None,
@@ -493,7 +458,7 @@ impl Variant {
     /// Folds a solo run's per-level metrics into per-segment device
     /// demands plus the per-unit predicted-vs-observed evidence.
     fn measure(
-        job_cfg: &MachineConfig,
+        machine: &MachineConfig,
         plan: Arc<Plan>,
         cost: &PlanCost,
         params: &MachineParams,
@@ -527,7 +492,7 @@ impl Variant {
                     Placement::Cpu { cores } => SegKind::Cpu { cores },
                     Placement::Gpu => SegKind::Gpu,
                     Placement::Split { .. } => SegKind::Split {
-                        cores: job_cfg.cpu.cores,
+                        cores: machine.cpu.cores,
                     },
                 },
                 cpu: cpu[i],
@@ -546,7 +511,7 @@ impl Variant {
         // paid per transfer edge and the launch overhead actually paid per
         // level — never of the believed (assumed/calibrated) parameters.
         let fixed = (0..plan.segments.len())
-            .map(|i| plan.segment_fixed_cost(i, job_cfg.bus.lambda, job_cfg.gpu.launch_overhead))
+            .map(|i| plan.segment_fixed_cost(i, machine.bus.lambda, machine.gpu.launch_overhead))
             .collect();
         Variant {
             cost: cost.total,
@@ -721,12 +686,12 @@ struct Inputs {
     levels: u32,
 }
 
-/// Everything pricing a job reads or updates: the per-job machine slice,
+/// Everything pricing a job reads or updates: the node's machine,
 /// the believed parameters and their calibration, the GPU circuit
 /// breaker, the plan cache and the metrics registry. Admission, replans,
 /// breaker degradation and router probes all price through it.
 struct Pricer {
-    job_cfg: MachineConfig,
+    machine: MachineConfig,
     assumed: Option<MachineParams>,
     calibrator: Option<Calibrator>,
     faults: Option<FaultState>,
@@ -737,14 +702,14 @@ struct Pricer {
 impl Pricer {
     /// The parameters jobs are priced and compiled with: the configured or
     /// assumed machine, under the current calibration corrections. The CPU
-    /// core count always follows the per-job machine slice — calibration
+    /// core count always follows the served machine — calibration
     /// corrects speeds and costs, never the structure.
     fn params(&self) -> Result<MachineParams, CalibrationError> {
         let mut params = self
             .assumed
             .clone()
-            .unwrap_or_else(|| MachineParams::from_config(&self.job_cfg));
-        params.p = self.job_cfg.cpu.cores;
+            .unwrap_or_else(|| MachineParams::from_config(&self.machine));
+        params.p = self.machine.cpu.cores;
         match &self.calibrator {
             Some(c) => params.recalibrated(c.calibration()),
             None => Ok(params),
@@ -846,7 +811,7 @@ impl Pricer {
             plan = Arc::new(suffix);
         }
         let faults = self.faults.as_ref().filter(|_| faulty && plan.uses_gpu());
-        let mut hpu = SimHpu::new(self.job_cfg.clone());
+        let mut hpu = SimHpu::new(self.machine.clone());
         if let Some(f) = faults {
             hpu = hpu.with_faults(f.injector.clone());
         }
@@ -859,7 +824,7 @@ impl Pricer {
         let retries = rstats.retries;
         match result {
             Ok(report) => Ok(Variant::measure(
-                &self.job_cfg,
+                &self.machine,
                 plan,
                 &cost,
                 &inp.params,
@@ -946,10 +911,6 @@ impl NodeSim {
     /// [`NodeSim::submit`].
     pub fn new(cfg: &MachineConfig, serve: &ServeConfig) -> NodeSim {
         let mut errors: Vec<ServeError> = Vec::new();
-        let mut job_cfg = cfg.clone();
-        if let Some(k) = serve.cores_per_job {
-            job_cfg.cpu.cores = k.clamp(1, cfg.cpu.cores);
-        }
         let calibrator = serve.calibration.as_ref().and_then(|c| {
             Calibrator::new(c.clone())
                 .map_err(|source| errors.push(ServeError::Calibration { job: None, source }))
@@ -958,7 +919,7 @@ impl NodeSim {
         NodeSim {
             arb: DeviceArbiter::new(cfg.cpu.cores),
             pricer: Pricer {
-                job_cfg,
+                machine: cfg.clone(),
                 assumed: serve.assumed.clone(),
                 calibrator,
                 faults: serve.faults.as_ref().map(FaultState::new),
@@ -1335,7 +1296,7 @@ impl NodeSim {
     pub fn believed_transfer_time(&self, words: u64) -> f64 {
         match self.pricer.params() {
             Ok(p) => p.transfer_time(words),
-            Err(_) => MachineParams::from_config(&self.pricer.job_cfg).transfer_time(words),
+            Err(_) => MachineParams::from_config(&self.pricer.machine).transfer_time(words),
         }
     }
 
@@ -2283,7 +2244,7 @@ fn lay_batch(arb: &mut DeviceArbiter, t0: f64, members: &[&Variant]) -> BatchTim
                     }
                     continue;
                 }
-                let (s, e) = arb.reserve_gpu_batch(t, merged.time, m);
+                let (s, e) = arb.reserve_gpu(t, merged.time);
                 releases.push(e);
                 for w in windows.iter_mut() {
                     w.push((s, e));

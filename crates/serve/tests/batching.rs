@@ -10,7 +10,7 @@ use hpu_algos::MergeSort;
 use hpu_machine::MachineConfig;
 use hpu_model::ScheduleSpec;
 use hpu_obs::JobOutcome;
-use hpu_serve::{serve_sim, AlgoJob, BatchPolicy, JobRequest, ServeConfig, ServeOutput};
+use hpu_serve::{serve_sim, AlgoJob, BatchPolicy, JobRequest, NodeSim, ServeConfig, ServeOutput};
 
 fn input(n: usize) -> Vec<u64> {
     (0..n as u64).rev().collect()
@@ -31,14 +31,16 @@ fn same_shape_wave(count: usize) -> Vec<JobRequest> {
         .collect()
 }
 
-fn serve_with(batch: BatchPolicy, jobs: Vec<JobRequest>) -> ServeOutput {
-    let cfg = MachineConfig::hpu1_sim();
-    let serve = ServeConfig {
+fn batched_config(batch: BatchPolicy) -> ServeConfig {
+    ServeConfig {
         cpu_fallback: false,
         batch,
         ..Default::default()
-    };
-    serve_sim(&cfg, &serve, jobs)
+    }
+}
+
+fn serve_with(batch: BatchPolicy, jobs: Vec<JobRequest>) -> ServeOutput {
+    serve_sim(&MachineConfig::hpu1_sim(), &batched_config(batch), jobs)
 }
 
 /// A wave of same-shaped GPU jobs actually coalesces: the first arrival
@@ -214,4 +216,39 @@ fn batch_spans_attribute_one_launch_to_many_jobs() {
         assert_eq!(*size as usize, rec.members.len());
         assert!((saved - rec.saved).abs() < 1e-9);
     }
+}
+
+/// A crash inside a batch's merged GPU window evicts every member, and
+/// the merged lease stays in the calendar: the members share one lease,
+/// so no member's eviction may release it.
+#[test]
+fn a_crash_mid_batch_keeps_the_merged_lease() {
+    let batch = BatchPolicy::Coalesce { max_batch: 4 };
+    let probe = serve_with(batch, same_shape_wave(4));
+    let first = probe.batches.first().expect("the wave forms a batch");
+    let (start, end) = first.windows[0];
+    let crash_at = (start + end) / 2.0;
+
+    let mut node = NodeSim::new(&MachineConfig::hpu1_sim(), &batched_config(batch));
+    for (id, job) in same_shape_wave(4).into_iter().enumerate() {
+        node.submit(id as u64, job);
+    }
+    while node.next_event_time().is_some_and(|t| t <= crash_at) {
+        node.step();
+    }
+    let report = node.crash(crash_at);
+    let in_flight: Vec<u64> = report.in_flight.iter().map(|j| j.id).collect();
+    for id in &first.members {
+        assert!(
+            in_flight.contains(id),
+            "batch member {id} not in flight at the crash: {in_flight:?}"
+        );
+    }
+    let out = node.finish();
+    assert!(
+        out.gpu_leases.contains(&(start, end)),
+        "the merged lease {:?} left the calendar: {:?}",
+        (start, end),
+        out.gpu_leases
+    );
 }

@@ -28,4 +28,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustfmt =="
 cargo fmt --all --check
 
+echo "== rustdoc =="
+# Broken or private intra-doc links fail here. Rustdoc skips the docs of
+# private modules, so a deleted name can still linger there: grep for it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "verify: OK"

@@ -469,16 +469,15 @@ fn serving_under_faults_accounts_for_every_job() {
 
 #[test]
 fn one_node_fleet_is_observationally_identical_to_serve_sim() {
-    use hpu_fleet::{fleet_sim, FleetConfig, FleetJobRequest, NodeSpec, RouterPolicy};
+    use hpu_fleet::{fleet_sim, FleetConfig, FleetJobRequest, NodeSpec};
     use hpu_machine::SimMachineParams;
     use hpu_model::CalibratorConfig;
 
-    // A 1-node fleet under the trivial round-robin router IS plain
-    // `serve_sim` — same outcomes, same latencies, same device leases,
-    // same calibration generations, seed for seed. The node's beliefs are
-    // mis-specified (2x gamma) with the calibration loop on, so the
-    // equivalence also covers drift-triggered replans and generation
-    // bumps.
+    // A 1-node fleet IS plain `serve_sim` — same outcomes, same
+    // latencies, same device leases, same calibration generations, seed
+    // for seed. The node's beliefs are mis-specified (2x gamma) with the
+    // calibration loop on, so the equivalence also covers drift-triggered
+    // replans and generation bumps.
     for seed in SEEDS {
         let mut rng = Rng(seed);
         let jobs = 2 + rng.below(8) as usize;
@@ -519,10 +518,9 @@ fn one_node_fleet_is_observationally_identical_to_serve_sim() {
             .collect();
         let a = serve_sim(&machine, &serve, solo);
 
-        let mut cfg = FleetConfig::new(vec![
+        let cfg = FleetConfig::new(vec![
             NodeSpec::new("solo", machine.clone()).with_serve(serve.clone())
         ]);
-        cfg.router = RouterPolicy::RoundRobin;
         let fleet_jobs: Vec<FleetJobRequest> = shapes
             .iter()
             .enumerate()
